@@ -183,10 +183,10 @@ BENCHMARK(BM_DiscSlide)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // COLLECT scaling across worker-thread counts on a 100k-point window (5%
 // stride). Manual time is the COLLECT phase only, straight from the metrics,
-// so the sequential CLUSTER phases do not dilute the comparison. On a
-// single-core host all thread counts degenerate to roughly the sequential
-// time (plus pool overhead); the spread is only visible on multi-core
-// hardware.
+// so the CLUSTER phases do not dilute the comparison. On a single-core host
+// all thread counts degenerate to roughly the sequential time (plus pool
+// overhead); the spread is only visible on multi-core hardware
+// (bench/results/threads_scaling.md).
 void BM_DiscCollectThreads(benchmark::State& state) {
   constexpr std::size_t kWindow = 100000;
   constexpr std::size_t kStride = 5000;
@@ -207,22 +207,26 @@ void BM_DiscCollectThreads(benchmark::State& state) {
     method.Update(d.incoming, d.outgoing);
   }
   double collect_total_ms = 0.0;
+  double parallel_total_ms = 0.0;
   for (auto _ : state) {
     WindowDelta d = window.Advance(source.NextPoints(kStride));
     method.Update(d.incoming, d.outgoing);
     const double ms = method.last_metrics().collect_ms;
     collect_total_ms += ms;
+    parallel_total_ms += method.last_metrics().collect_parallel_ms;
     state.SetIterationTime(ms / 1000.0);
   }
   state.SetItemsProcessed(state.iterations() * kStride);
   state.counters["collect_ms"] =
       collect_total_ms / static_cast<double>(state.iterations());
+  state.counters["collect_parallel_ms"] =
+      parallel_total_ms / static_cast<double>(state.iterations());
   state.counters["threads"] = static_cast<double>(
       method.last_metrics().threads_used);
 }
 BENCHMARK(BM_DiscCollectThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseManualTime();
 
-// CLUSTER-stage scaling: drifting blobs keep the ex-core (strided MS-BFS)
+// CLUSTER-stage scaling: drifting blobs keep the ex-core (MS-BFS rounds)
 // and neo-core (speculative discovery) phases busy every slide. Manual time
 // counts only the two CLUSTER phases; cluster_parallel_ms isolates the
 // portion spent inside the parallel fan-outs.

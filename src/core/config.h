@@ -20,9 +20,11 @@ struct DiscConfig {
   // minimal bonding cores is checked with repeated single-source BFS.
   bool use_msbfs = true;
 
-  // Epoch-based probing of the R-tree (Alg. 4). When false, range searches
-  // revisit already-explored index regions and the traversal filters
-  // duplicates on the client side.
+  // Epoch-based probing of the R-tree (Alg. 4) in the sequential
+  // traversals: the ex-core closures and the single-source BFS. When false,
+  // range searches revisit already-explored index regions and the traversal
+  // filters duplicates on the client side. MS-BFS and the neo-core
+  // discoveries always probe tick-free, so this switch does not reach them.
   bool use_epoch_probing = true;
 
   // Border-witness shortcut (this implementation's addition, not in the
@@ -35,30 +37,14 @@ struct DiscConfig {
   int rtree_max_entries = 16;
   SplitPolicy rtree_split_policy = SplitPolicy::kQuadratic;
 
-  // Lanes for the COLLECT probe fan-out. 1 = fully sequential (no pool is
-  // even created); 0 = one lane per hardware thread. The produced
-  // clustering, deltas, and events are bit-identical for every value: the
-  // parallel phases are read-only and their results are merged in a
-  // thread-count-independent order (see docs/ALGORITHM.md).
+  // Lanes for the probe fan-outs of COLLECT, the MS-BFS rounds, and the
+  // neo-core discoveries (docs/ALGORITHM.md §3.1, §4.6). 1 = fully
+  // sequential (no pool is even created); 0 = one lane per hardware thread.
+  // The produced clustering, deltas, and events are bit-identical for every
+  // value: the parallel probes are read-only and tick-free, and their
+  // results are merged on the calling thread in a thread-count-independent
+  // order.
   std::uint32_t num_threads = 1;
-
-  // Parallel CLUSTER stage (docs/ALGORITHM.md §4.6): MS-BFS expands its
-  // frontier in level-synchronous rounds whose probes fan out across the
-  // pool, with a deterministic min-starter merge rule, and neo-core group
-  // closures run as speculative concurrent discoveries committed in seed
-  // order. Both paths probe the R-tree tick-free (plain read-only searches,
-  // no epoch marks), so lanes never race on entry epochs, and every state
-  // mutation stays on the calling thread — output is bit-identical for any
-  // num_threads. When false, CLUSTER runs the original interleaved
-  // epoch-probed traversals (the ablation baseline); the clustering is
-  // DBSCAN-identical either way, but cluster-id assignment between the two
-  // modes may differ.
-  bool parallel_cluster = true;
-
-  // Minimum per-round probe batch worth dispatching to the pool; smaller
-  // batches run inline on the calling thread. Purely an execution knob —
-  // inline and pooled probes return identical candidate lists.
-  std::uint32_t parallel_cluster_min_batch = 2;
 
   // Checks every parameter and returns a descriptive error for the first
   // violation (eps must be a positive finite number, tau >= 1,

@@ -88,9 +88,14 @@ void Disc::SetLabel(PointId id, Record* rec, Category category,
 // ---------------------------------------------------------------------------
 
 void Disc::FanOutProbes(const std::vector<const Point*>& centers,
-                        std::vector<std::vector<PointId>>* hits) {
+                        std::vector<std::vector<PointId>>* hits,
+                        double* parallel_ms) {
+  // A single probe gains nothing from a dispatch; the candidate lists are
+  // identical inline or pooled.
+  constexpr std::size_t kMinPooledBatch = 2;
   hits->assign(centers.size(), {});
-  ThreadPool* pool = execution_pool();
+  ThreadPool* pool =
+      centers.size() >= kMinPooledBatch ? execution_pool() : nullptr;
   const std::size_t lanes = pool ? pool->lanes() : 1;
   std::vector<RTreeStats> lane_stats(lanes);
   Timer timer;
@@ -106,7 +111,7 @@ void Disc::FanOutProbes(const std::vector<const Point*>& centers,
                       &lane_stats[lane]);
                 });
   }
-  metrics_.collect_parallel_ms += timer.ElapsedMillis();
+  *parallel_ms += timer.ElapsedMillis();
   for (const RTreeStats& s : lane_stats) tree_.stats().MergeFrom(s);
 }
 
@@ -157,7 +162,7 @@ void Disc::Collect(const std::vector<Point>& incoming,
     if (out_recs[i] != nullptr) centers[i] = &out_recs[i]->pt;
   }
   std::vector<std::vector<PointId>> hits;
-  FanOutProbes(centers, &hits);
+  FanOutProbes(centers, &hits, &metrics_.collect_parallel_ms);
 
   // Merge in batch order: decrement each surviving neighbor once per exit.
   for (std::size_t i = 0; i < outgoing.size(); ++i) {
@@ -216,7 +221,7 @@ void Disc::Collect(const std::vector<Point>& incoming,
   for (std::size_t j = 0; j < incoming.size(); ++j) {
     if (in_recs[j] != nullptr) centers[j] = &in_recs[j]->pt;
   }
-  FanOutProbes(centers, &hits);
+  FanOutProbes(centers, &hits, &metrics_.collect_parallel_ms);
 
   for (std::size_t j = 0; j < incoming.size(); ++j) {
     Record* recp = in_recs[j];
@@ -268,7 +273,10 @@ const UpdateDelta& Disc::Update(const std::vector<Point>& incoming,
   ++update_serial_;
   events_.clear();
   metrics_.Reset();
-  metrics_.threads_used = config_.num_threads;
+  // The lanes the probes actually fan out on: a borrowed pool overrides
+  // config_.num_threads, and a null one means inline.
+  const ThreadPool* pool = execution_pool();
+  metrics_.threads_used = pool ? pool->lanes() : 1;
   recheck_.clear();
   touched_.clear();
   delta_.Clear();

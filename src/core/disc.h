@@ -43,13 +43,13 @@ namespace disc {
 // R-tree (Alg. 4) — can be toggled independently through DiscConfig; the
 // produced clustering is identical either way.
 //
-// With DiscConfig::parallel_cluster (the default) the CLUSTER step's two
-// traversal-heavy passes run their probes on the COLLECT thread pool:
-// MS-BFS expands level-synchronous rounds of tick-free probes and merges
-// fronts under a deterministic min-starter rule, and neo-core closures run
-// as speculative concurrent discoveries committed sequentially in seed
-// order (docs/ALGORITHM.md §4.6). Snapshots, checkpoints, deltas, and
-// events are bit-identical for every num_threads value.
+// The CLUSTER step's two traversal-heavy passes run their probes on the
+// COLLECT thread pool: MS-BFS expands level-synchronous rounds of tick-free
+// probes and merges fronts under a deterministic min-starter rule, and
+// neo-core closures run as speculative concurrent discoveries committed
+// sequentially in seed order (docs/ALGORITHM.md §4.6). Snapshots,
+// checkpoints, deltas, and events are bit-identical for every num_threads
+// value.
 //
 // The resulting labeling equals what DBSCAN computes from scratch on the
 // window contents (up to cluster-id renaming and the usual DBSCAN tie on
@@ -169,13 +169,16 @@ class Disc : public StreamClusterer {
                std::vector<PointId>* ex_cores, std::vector<PointId>* neo_cores,
                std::vector<Point>* c_out);
 
-  // Fans one read-only eps-range probe per non-null center out across the
-  // pool (sequentially when the pool is absent). (*hits)[i] receives the
-  // ids within eps of *centers[i] in index-traversal order — deterministic
-  // because the tree is not mutated while the probes run. Probe counters
-  // accumulate per lane and are merged into the tree's statistics.
+  // Fans one read-only, tick-free eps-range probe per non-null center out
+  // across the pool (inline when the pool is absent or the batch holds
+  // fewer than two centers). (*hits)[i] receives the ids within eps of
+  // *centers[i] in index-traversal order — deterministic because the tree
+  // is not mutated while the probes run. Probe counters accumulate per lane
+  // and are merged into the tree's statistics; the fan-out's wall time is
+  // added to *parallel_ms. Serves COLLECT and the MS-BFS rounds.
   void FanOutProbes(const std::vector<const Point*>& centers,
-                    std::vector<std::vector<PointId>>* hits);
+                    std::vector<std::vector<PointId>>* hits,
+                    double* parallel_ms);
 
   // Ex-core phase of CLUSTER: one retro-reachability closure + split check
   // per unprocessed ex-core group, exactly as Algorithm 2 reads — plus a
@@ -202,41 +205,43 @@ class Disc : public StreamClusterer {
   // borders of every component that detaches. Returns the component count.
   int CheckConnectivity(const std::vector<PointId>& m_minus, ClusterId old_cid);
 
+  // Records a kSplit event from old_cid to every cluster handle created
+  // since handles_before; returns false (recording nothing) when none was.
+  bool PushSplitEvent(ClusterId old_cid, std::size_t handles_before);
+
   // Connectivity checks. *survivor_rep receives a core id inside the
-  // component that kept its labels (the early-exit survivor). MsBfs
-  // dispatches on config_.parallel_cluster between the strided (parallel
-  // probes, min-starter merges) and the original interleaved (epoch-probed)
-  // implementation; both are Algorithm 3, and both are deterministic, but
-  // their cluster-id assignments can differ from each other.
+  // component that kept its labels (the early-exit survivor). MsBfs is
+  // Algorithm 3 with parallel tick-free probe rounds and min-starter
+  // merges; SequentialBfs is the epoch-probed repeated single-source BFS
+  // that use_msbfs = false selects.
   int MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep);
-  int MsBfsStrided(const std::vector<PointId>& m_minus, PointId* survivor_rep);
-  int MsBfsInterleaved(const std::vector<PointId>& m_minus,
-                       PointId* survivor_rep);
   int SequentialBfs(const std::vector<PointId>& m_minus,
                     PointId* survivor_rep);
 
-  // Fans one tick-free eps-range probe per non-null center out across the
-  // pool — the CLUSTER-side sibling of FanOutProbes (inline when the pool is
-  // absent or the batch is smaller than parallel_cluster_min_batch; the
-  // candidate lists are identical either way). No epoch ticks are taken, so
-  // any number of these probes may run concurrently against the frozen tree.
-  void FanOutClusterProbes(const std::vector<const Point*>& centers,
-                           std::vector<std::vector<PointId>>* hits);
+  // The two outcomes of a connectivity check for one explored component:
+  // DetachComponent relabels its cores and borders under a fresh cluster id
+  // (queueing the borders for recheck); RecheckSurvivorBorders queues the
+  // borders of the component that keeps its labels.
+  void DetachComponent(const std::vector<PointId>& cores,
+                       const std::vector<PointId>& borders);
+  void RecheckSurvivorBorders(const std::vector<PointId>& borders);
 
   // Neo-core phase of CLUSTER: one nascent-reachability closure + label
-  // inspection per unprocessed neo-core. ProcessNeoCores dispatches on
-  // config_.parallel_cluster between the speculative concurrent path and
-  // the original sequential group loop; their outputs are bit-identical
-  // (see ProcessNeoCoresParallel).
+  // inspection per neo-core group. Every neo-core starts a
+  // NeoDiscoveryWorker on the pool; workers race claims through an atomic
+  // CAS-min table so that the smallest seed of each nascent-reachable
+  // component always completes its discovery while larger seeds abort
+  // early. Completed discoveries are then committed sequentially in seed
+  // order (duplicates and aborts discarded), so labels, events, deltas, and
+  // the registry evolve identically for any lane count, including zero
+  // workers.
   void ProcessNeoCores(const std::vector<PointId>& neo_cores);
-  void ProcessNeoGroup(PointId seed);
 
   // Result of one speculative neo-core discovery: a read-only BFS that
-  // records everything the sequential traversal would have written, so the
-  // commit step can replay it. `raw_cids` keeps the *uncanonicalized*
-  // cluster handles of the M+ members in encounter order — canonicalization
-  // is deferred to commit time, where the registry is in exactly the state
-  // the sequential algorithm's traversal would have observed.
+  // records everything the commit step writes. `raw_cids` keeps the
+  // *uncanonicalized* cluster handles of the M+ members in encounter order —
+  // canonicalization is deferred to commit time, where the registry holds
+  // the unions of every earlier commit.
   struct NeoDiscovery {
     std::vector<PointId> group;  // Neo-cores of the component, BFS order.
     std::vector<std::pair<PointId, PointId>> borders;  // (non-core, witness).
@@ -245,14 +250,6 @@ class Disc : public StreamClusterer {
     bool aborted = false;
   };
 
-  // Parallel neo phase: every neo-core starts a NeoDiscoveryWorker on the
-  // pool; workers race claims through an atomic CAS-min table so that the
-  // smallest seed of each nascent-reachable component always completes its
-  // discovery while larger seeds abort early. Completed discoveries are then
-  // committed sequentially in seed order (duplicates and aborts discarded),
-  // which makes labels, events, deltas, and the registry evolve exactly as
-  // under the sequential loop — for any lane count, including zero workers.
-  void ProcessNeoCoresParallel(const std::vector<PointId>& neo_cores);
   void NeoDiscoveryWorker(
       std::uint32_t seed_idx, const std::vector<PointId>& neo_cores,
       const std::unordered_map<PointId, std::uint32_t>& seed_index,
@@ -285,8 +282,9 @@ class Disc : public StreamClusterer {
   RTree tree_;
   std::unordered_map<PointId, Record> records_;
   ClusterRegistry registry_;
-  // COLLECT's probe fan-out pool; null when config_.num_threads resolves
-  // to 1 (the sequential path then runs without any synchronization).
+  // The config-owned probe fan-out pool; null when config_.num_threads
+  // resolves to 1 (the sequential path then runs without any
+  // synchronization).
   std::unique_ptr<ThreadPool> pool_;
   // SetExecutionPool state; see execution_pool().
   ThreadPool* external_pool_ = nullptr;

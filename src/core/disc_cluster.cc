@@ -106,14 +106,7 @@ int Disc::CheckConnectivity(const std::vector<PointId>& m_minus,
   PointId survivor = m_minus[0];
   const int ncc = config_.use_msbfs ? MsBfs(m_minus, &survivor)
                                     : SequentialBfs(m_minus, &survivor);
-  std::size_t fresh = registry_.num_handles() - handles_before;
-  if (fresh > 0) {
-    ClusterEvent event{ClusterEventType::kSplit, {old_cid}};
-    for (std::size_t i = 0; i < fresh; ++i) {
-      event.cids.push_back(static_cast<ClusterId>(handles_before + i));
-    }
-    events_.push_back(std::move(event));
-  } else {
+  if (!PushSplitEvent(old_cid, handles_before)) {
     events_.push_back({ClusterEventType::kShrink, {old_cid}});
   }
 
@@ -131,14 +124,7 @@ int Disc::CheckConnectivity(const std::vector<PointId>& m_minus,
       ++metrics_.survivor_reconciliations;
       PointId winner = survivor;
       MsBfs({it->second, survivor}, &winner);
-      fresh = registry_.num_handles() - handles_before;
-      if (fresh > 0) {
-        ClusterEvent event{ClusterEventType::kSplit, {old_cid}};
-        for (std::size_t i = 0; i < fresh; ++i) {
-          event.cids.push_back(static_cast<ClusterId>(handles_before + i));
-        }
-        events_.push_back(std::move(event));
-      }
+      PushSplitEvent(old_cid, handles_before);
       survivor = winner;
     }
     for (ClusterId c : m_cids) split_survivors_[c] = survivor;
@@ -146,8 +132,51 @@ int Disc::CheckConnectivity(const std::vector<PointId>& m_minus,
   return ncc;
 }
 
+bool Disc::PushSplitEvent(ClusterId old_cid, std::size_t handles_before) {
+  const std::size_t fresh = registry_.num_handles() - handles_before;
+  if (fresh == 0) return false;
+  ClusterEvent event{ClusterEventType::kSplit, {old_cid}};
+  for (std::size_t i = 0; i < fresh; ++i) {
+    event.cids.push_back(static_cast<ClusterId>(handles_before + i));
+  }
+  events_.push_back(std::move(event));
+  return true;
+}
+
 // ---------------------------------------------------------------------------
-// Multi-Starter BFS (Algorithm 3)
+// Connectivity checks: component relabeling shared by both traversals
+// ---------------------------------------------------------------------------
+
+void Disc::DetachComponent(const std::vector<PointId>& cores,
+                           const std::vector<PointId>& borders) {
+  const ClusterId fresh = registry_.NewCluster();
+  for (PointId cp : cores) {
+    Record& rc = GetRecord(cp);
+    SetLabel(cp, &rc, Category::kCore, fresh);
+  }
+  for (PointId bp : borders) {
+    Record& rb = GetRecord(bp);
+    if (rb.deleted || IsCoreNow(rb)) continue;
+    SetLabel(bp, &rb, Category::kBorder, fresh);
+    // A later detach in this update may relabel this fragment's cores
+    // again, so the border assignment is re-validated in the recheck pass.
+    AddRecheck(bp, &rb);
+  }
+}
+
+void Disc::RecheckSurvivorBorders(const std::vector<PointId>& borders) {
+  // The surviving component keeps its labels, but its reported borders may
+  // reference clusters whose cores another detach of this update relabels
+  // (cheap: each carries a surviving-side witness).
+  for (PointId bp : borders) {
+    Record& rb = GetRecord(bp);
+    if (!rb.deleted && !IsCoreNow(rb)) AddRecheck(bp, &rb);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-Starter BFS (Algorithm 3): level-synchronous rounds of tick-free
+// probes
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -162,193 +191,12 @@ struct MsThread {
 
 }  // namespace
 
-int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
-  return config_.parallel_cluster ? MsBfsStrided(m_minus, survivor_rep)
-                                  : MsBfsInterleaved(m_minus, survivor_rep);
-}
-
-int Disc::MsBfsInterleaved(const std::vector<PointId>& m_minus,
-                           PointId* survivor_rep) {
-  obs::TraceSpan span("disc.msbfs", obs::TraceLevel::kDetail);
-  span.AddArg("starters", m_minus.size());
-  const std::uint64_t expansions_before = metrics_.msbfs_expansions;
-  const std::uint64_t serial = ++search_serial_;
-  const std::uint64_t tick = tree_.NewTick();
-  const std::size_t k = m_minus.size();
-
-  // Union-find over starter indices: merged searches share one root thread.
-  std::vector<std::uint32_t> parent(k);
-  for (std::size_t i = 0; i < k; ++i) parent[i] = static_cast<std::uint32_t>(i);
-  auto find_root = [&](std::uint32_t i) {
-    std::uint32_t root = i;
-    while (parent[root] != root) root = parent[root];
-    while (parent[i] != root) {
-      const std::uint32_t next = parent[i];
-      parent[i] = root;
-      i = next;
-    }
-    return root;
-  };
-
-  std::vector<MsThread> threads(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    Record& rec = GetRecord(m_minus[i]);
-    rec.visit_serial = serial;
-    rec.owner = static_cast<std::uint32_t>(i);
-    threads[i].queue.push_back(m_minus[i]);
-    threads[i].cores.push_back(m_minus[i]);
-  }
-
-  std::size_t active_count = k;
-  auto merge_threads = [&](std::uint32_t a, std::uint32_t b) {
-    // Pre: a and b are distinct roots. The larger queue absorbs the smaller.
-    if (threads[a].queue.size() < threads[b].queue.size()) std::swap(a, b);
-    MsThread& ta = threads[a];
-    MsThread& tb = threads[b];
-    ta.queue.insert(ta.queue.end(), tb.queue.begin(), tb.queue.end());
-    ta.cores.insert(ta.cores.end(), tb.cores.begin(), tb.cores.end());
-    ta.borders.insert(ta.borders.end(), tb.borders.begin(), tb.borders.end());
-    tb = MsThread{};
-    parent[b] = a;
-    --active_count;
-  };
-
-  std::vector<std::uint32_t> active;
-  active.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) active.push_back(static_cast<std::uint32_t>(i));
-
-  int drained = 0;
-  // Run the k searches simultaneously (round-robin, one expansion each) until
-  // a single search remains (Alg. 3, line 5). A search whose queue empties
-  // has fully explored one detaching component.
-  while (active_count > 1) {
-    for (std::size_t idx = 0; idx < active.size() && active_count > 1;) {
-      const std::uint32_t root = active[idx];
-      if (find_root(root) != root) {
-        // Merged into another search; drop from the rotation.
-        active[idx] = active.back();
-        active.pop_back();
-        continue;
-      }
-      MsThread& th = threads[root];
-      if (th.queue.empty()) {
-        // Component complete: detach it under a fresh cluster id.
-        const ClusterId fresh = registry_.NewCluster();
-        for (PointId cp : th.cores) {
-          Record& rc = GetRecord(cp);
-          SetLabel(cp, &rc, Category::kCore, fresh);
-        }
-        for (PointId bp : th.borders) {
-          Record& rb = GetRecord(bp);
-          if (rb.deleted || IsCoreNow(rb)) continue;
-          SetLabel(bp, &rb, Category::kBorder, fresh);
-          // A later drain may relabel this fragment's cores again, so the
-          // border assignment is re-validated in the recheck pass.
-          AddRecheck(bp, &rb);
-        }
-        th = MsThread{};  // Distinguishes drained roots from the survivor.
-        ++drained;
-        --active_count;
-        active[idx] = active.back();
-        active.pop_back();
-        continue;
-      }
-
-      const PointId rid = th.queue.front();
-      th.queue.pop_front();
-      ++metrics_.msbfs_expansions;
-      const Point center = GetRecord(rid).pt;
-      SearchMarking(center, tick, [&](PointId qid, const Point&) -> bool {
-        if (qid == rid) return true;  // Own entry: r is now expanded.
-        auto qit = records_.find(qid);
-        if (qit == records_.end()) return true;
-        Record& q = qit->second;
-        if (q.deleted) return true;
-        if (IsCoreNow(q)) {
-          const std::uint32_t mine = find_root(root);
-          if (q.visit_serial != serial) {
-            q.visit_serial = serial;
-            q.owner = mine;
-            threads[mine].queue.push_back(qid);
-            threads[mine].cores.push_back(qid);
-          } else {
-            const std::uint32_t other = find_root(q.owner);
-            if (other != mine) merge_threads(mine, other);
-          }
-          // Frontier cores stay visible until their own expansion; this is
-          // what lets two searches detect that they met (see header notes).
-          return false;
-        }
-        // Non-core in the current window: remember the adjacency for label
-        // maintenance, then prune it from this MS-BFS instance.
-        if (q.visit_serial != serial) {
-          q.visit_serial = serial;
-          q.witness = rid;
-          q.witness_serial = update_serial_;
-          threads[find_root(root)].borders.push_back(qid);
-        }
-        return true;
-      });
-      ++idx;
-    }
-  }
-  // The last remaining search keeps the previous cluster id for everything
-  // it touched (and everything it never had to explore) — the early exit
-  // that makes unsplit slides cheap. Its reported borders may reference
-  // clusters whose cores another drain of this update relabels, so they go
-  // through the recheck pass (cheap: each carries a surviving-side witness).
-  for (std::size_t i = 0; i < k; ++i) {
-    if (find_root(static_cast<std::uint32_t>(i)) !=
-            static_cast<std::uint32_t>(i) ||
-        threads[i].cores.empty()) {
-      continue;
-    }
-    *survivor_rep = m_minus[i];
-    for (PointId bp : threads[i].borders) {
-      Record& rb = GetRecord(bp);
-      if (!rb.deleted && !IsCoreNow(rb)) AddRecheck(bp, &rb);
-    }
-    break;
-  }
-  span.AddArg("expansions", metrics_.msbfs_expansions - expansions_before);
-  span.AddArg("components", static_cast<std::uint64_t>(drained) + 1);
-  return drained + 1;
-}
-
-// ---------------------------------------------------------------------------
-// Strided MS-BFS: level-synchronous rounds with parallel tick-free probes
-// ---------------------------------------------------------------------------
-
-void Disc::FanOutClusterProbes(const std::vector<const Point*>& centers,
-                               std::vector<std::vector<PointId>>* hits) {
-  hits->assign(centers.size(), {});
-  ThreadPool* pool = centers.size() >= config_.parallel_cluster_min_batch
-                         ? execution_pool()
-                         : nullptr;
-  const std::size_t lanes = pool ? pool->lanes() : 1;
-  std::vector<RTreeStats> lane_stats(lanes);
-  Timer timer;
-  {
-    RTree::ConcurrentProbeScope probe_scope(tree_);
-    ParallelFor(pool, centers.size(), [&](std::size_t lane, std::size_t i) {
-      if (centers[i] == nullptr) return;
-      std::vector<PointId>& out = (*hits)[i];
-      tree_.RangeSearch(
-          *centers[i], config_.eps,
-          [&out](PointId qid, const Point&) { out.push_back(qid); },
-          &lane_stats[lane]);
-    });
-  }
-  metrics_.cluster_parallel_ms += timer.ElapsedMillis();
-  for (const RTreeStats& s : lane_stats) tree_.stats().MergeFrom(s);
-}
-
-// The parallel MS-BFS. Structurally the same search as MsBfsInterleaved —
-// union-find over starters, one popped queue head per live search per round,
-// drains detach completed components — but the round's probes all run first
-// (tick-free, fanned out across lanes via FanOutClusterProbes), and their
-// hit lists are then applied to the live state sequentially in round order.
-// Two consequences:
+// One search per bonding core, run simultaneously: union-find over
+// starters, one popped queue head per live search per round, and a search
+// whose queue drains has fully explored one detaching component. Each
+// round's probes all run first (tick-free, fanned out across lanes via
+// FanOutProbes), and their hit lists are then applied to the live state
+// sequentially in round order. Two consequences:
 //  * Determinism by construction: every state mutation is a pure function
 //    of the hit lists, which depend only on the frozen tree — not on lane
 //    count or timing. A front meet is detected when an applied hit finds a
@@ -361,8 +209,7 @@ void Disc::FanOutClusterProbes(const std::vector<const Point*>& centers,
 //    no-op (the only live effect, the claimed-by-other merge check, fires
 //    identically — both owners were already unified when the edge was first
 //    seen from its earlier-expanded endpoint).
-int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
-                       PointId* survivor_rep) {
+int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
   obs::TraceSpan span("disc.msbfs", obs::TraceLevel::kDetail);
   span.AddArg("starters", m_minus.size());
   const std::uint64_t expansions_before = metrics_.msbfs_expansions;
@@ -421,18 +268,19 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
   std::vector<const Point*> batch_centers;
   std::vector<std::vector<PointId>> batch_hits;
 
+  // Run until a single search remains (Alg. 3, line 5).
   while (active_count > 1) {
     obs::TraceSpan round_span("disc.msbfs.round", obs::TraceLevel::kDetail);
     ++rounds;
     // Build the round: pop one queue head per live search, in rotation
-    // order, draining any search whose component is complete (exactly the
-    // per-visit bookkeeping of the interleaved loop; merges cannot happen
-    // here — they only fire while hits are applied).
+    // order, draining any search whose component is complete (merges cannot
+    // happen here — they only fire while hits are applied).
     batch_roots.clear();
     batch_ids.clear();
     for (std::size_t idx = 0; idx < active.size() && active_count > 1;) {
       const std::uint32_t root = active[idx];
       if (find_root(root) != root) {
+        // Merged into another search; drop from the rotation.
         active[idx] = active.back();
         active.pop_back();
         continue;
@@ -440,18 +288,7 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
       MsThread& th = threads[root];
       if (th.queue.empty()) {
         // Component complete: detach it under a fresh cluster id.
-        const ClusterId fresh = registry_.NewCluster();
-        for (PointId cp : th.cores) {
-          Record& rc = GetRecord(cp);
-          SetLabel(cp, &rc, Category::kCore, fresh);
-        }
-        for (PointId bp : th.borders) {
-          Record& rb = GetRecord(bp);
-          if (rb.deleted || IsCoreNow(rb)) continue;
-          SetLabel(bp, &rb, Category::kBorder, fresh);
-          // Re-validated in the recheck pass; see MsBfsInterleaved.
-          AddRecheck(bp, &rb);
-        }
+        DetachComponent(th.cores, th.borders);
         th = MsThread{};  // Distinguishes drained roots from the survivor.
         ++drained;
         --active_count;
@@ -475,7 +312,7 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
     for (std::size_t j = 0; j < batch_ids.size(); ++j) {
       batch_centers[j] = &GetRecord(batch_ids[j]).pt;
     }
-    FanOutClusterProbes(batch_centers, &batch_hits);
+    FanOutProbes(batch_centers, &batch_hits, &metrics_.cluster_parallel_ms);
 
     // Apply the hit lists to the live state, sequentially in round order.
     for (std::size_t j = 0;
@@ -501,6 +338,8 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
           }
           continue;
         }
+        // Non-core in the current window: remember the adjacency for label
+        // maintenance, then prune it from this MS-BFS instance.
         if (q.visit_serial != serial) {
           q.visit_serial = serial;
           q.witness = rid;
@@ -511,8 +350,9 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
     }
   }
 
-  // Survivor selection and border rechecks, exactly as in the interleaved
-  // implementation.
+  // The last remaining search keeps the previous cluster id for everything
+  // it touched (and everything it never had to explore) — the early exit
+  // that makes unsplit slides cheap.
   for (std::size_t i = 0; i < k; ++i) {
     if (find_root(static_cast<std::uint32_t>(i)) !=
             static_cast<std::uint32_t>(i) ||
@@ -520,10 +360,7 @@ int Disc::MsBfsStrided(const std::vector<PointId>& m_minus,
       continue;
     }
     *survivor_rep = m_minus[i];
-    for (PointId bp : threads[i].borders) {
-      Record& rb = GetRecord(bp);
-      if (!rb.deleted && !IsCoreNow(rb)) AddRecheck(bp, &rb);
-    }
+    RecheckSurvivorBorders(threads[i].borders);
     break;
   }
   metrics_.msbfs_rounds += rounds;
@@ -597,25 +434,9 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
       });
     }
     if (!first && !early_exit) {
-      // Detached component: fresh cluster id.
-      const ClusterId fresh = registry_.NewCluster();
-      for (PointId cp : cores) {
-        Record& rc = GetRecord(cp);
-        SetLabel(cp, &rc, Category::kCore, fresh);
-      }
-      for (PointId bp : borders) {
-        Record& rb = GetRecord(bp);
-        if (rb.deleted || IsCoreNow(rb)) continue;
-        SetLabel(bp, &rb, Category::kBorder, fresh);
-        AddRecheck(bp, &rb);  // See the matching note in MsBfs.
-      }
+      DetachComponent(cores, borders);
     } else {
-      // This component keeps its labels; its reported borders re-resolve in
-      // the recheck pass (see the matching note in MsBfs).
-      for (PointId bp : borders) {
-        Record& rb = GetRecord(bp);
-        if (!rb.deleted && !IsCoreNow(rb)) AddRecheck(bp, &rb);
-      }
+      RecheckSurvivorBorders(borders);
     }
     first = false;
     if (members_left == 0 && early_exit) break;
@@ -624,136 +445,29 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
 }
 
 // ---------------------------------------------------------------------------
-// Neo-core phase: nascent-reachability closures and merge decisions
-// ---------------------------------------------------------------------------
-
-void Disc::ProcessNeoCores(const std::vector<PointId>& neo_cores) {
-  if (config_.parallel_cluster) {
-    ProcessNeoCoresParallel(neo_cores);
-    return;
-  }
-  for (PointId id : neo_cores) {
-    Record& rec = GetRecord(id);
-    if (rec.group_serial == update_serial_) continue;  // Alg. 2, line 13.
-    ProcessNeoGroup(id);
-    ++metrics_.num_neo_groups;
-  }
-}
-
-void Disc::ProcessNeoGroup(PointId seed) {
-  const std::uint64_t serial = ++search_serial_;
-  const std::uint64_t tick = tree_.NewTick();
-
-  GetRecord(seed).visit_serial = serial;
-  std::deque<PointId> queue;
-  std::vector<PointId> group;
-  std::vector<PointId> borders;
-  std::vector<ClusterId> cid_list;  // Distinct clusters M+ spreads over.
-  queue.push_back(seed);
-  group.push_back(seed);
-  while (!queue.empty()) {
-    const PointId rid = queue.front();
-    queue.pop_front();
-    Record& r = GetRecord(rid);
-    r.group_serial = update_serial_;
-    const Point center = r.pt;
-    SearchMarking(center, tick, [&](PointId qid, const Point&) -> bool {
-      if (qid == rid) return true;
-      auto qit = records_.find(qid);
-      if (qit == records_.end()) return true;
-      Record& q = qit->second;
-      if (q.deleted) return true;
-      if (IsCoreNow(q)) {
-        if (IsNeoCore(q)) {
-          if (q.visit_serial != serial) {
-            q.visit_serial = serial;
-            queue.push_back(qid);
-            group.push_back(qid);
-          }
-          return false;
-        }
-        // Core in both windows: an M+ member. Only its label matters
-        // (Alg. 2, line 11) — no connectivity check is needed.
-        if (q.visit_serial != serial) {
-          q.visit_serial = serial;
-          const ClusterId c = registry_.Find(q.cid);
-          if (std::find(cid_list.begin(), cid_list.end(), c) ==
-              cid_list.end()) {
-            cid_list.push_back(c);
-          }
-        }
-        return true;
-      }
-      // Non-core neighbor of a neo-core: becomes a border of this group's
-      // cluster.
-      if (q.visit_serial != serial) {
-        q.visit_serial = serial;
-        q.witness = rid;
-        q.witness_serial = update_serial_;
-        borders.push_back(qid);
-      }
-      return true;
-    });
-  }
-
-  ClusterId g;
-  if (cid_list.empty()) {
-    g = registry_.NewCluster();  // Emergence.
-    events_.push_back({ClusterEventType::kEmerge, {g}});
-  } else if (cid_list.size() == 1) {
-    g = cid_list[0];  // Expansion.
-    events_.push_back({ClusterEventType::kGrow, {g}});
-  } else {
-    // M+ spreads over several clusters: merge them all (constant-time unions
-    // in the registry — no relabeling pass).
-    g = cid_list[0];
-    for (std::size_t i = 1; i < cid_list.size(); ++i) {
-      g = registry_.Union(g, cid_list[i]);
-    }
-    ClusterEvent event{ClusterEventType::kMerge, {g}};
-    for (ClusterId c : cid_list) {
-      if (c != g) event.cids.push_back(c);
-    }
-    events_.push_back(std::move(event));
-  }
-  for (PointId mp : group) {
-    Record& rm = GetRecord(mp);
-    SetLabel(mp, &rm, Category::kCore, g);
-  }
-  for (PointId bp : borders) {
-    Record& rb = GetRecord(bp);
-    if (rb.deleted || IsCoreNow(rb)) continue;
-    SetLabel(bp, &rb, Category::kBorder, g);
-    // The witness recorded during this traversal keeps any later recheck of
-    // this border consistent with the group's final label.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel neo-core phase: speculative discovery, sequential commit
+// Neo-core phase: speculative discovery, sequential commit
 // ---------------------------------------------------------------------------
 //
-// The sequential loop above interleaves traversal and mutation per group.
-// The parallel path splits them: every neo-core speculatively runs a
-// *read-only* BFS of its component on the pool (NeoDiscoveryWorker — no
-// record, registry, or tree writes at all), then discoveries are committed
-// on the calling thread in seed order. An atomic CAS-min claim table prunes
-// the speculation: a worker that reaches a neo-core already claimed by a
-// smaller seed aborts, because that seed is exploring the same component
-// and — being smaller — can itself never lose a claim race within it, so it
+// Every neo-core speculatively runs a *read-only* BFS of its
+// nascent-reachable component on the pool (NeoDiscoveryWorker — no record,
+// registry, or tree writes at all), then discoveries are committed on the
+// calling thread in seed order. An atomic CAS-min claim table prunes the
+// speculation: a worker that reaches a neo-core already claimed by a smaller
+// seed aborts, because that seed is exploring the same component and —
+// being smaller — can itself never lose a claim race within it, so it
 // always completes. Claims are purely advisory (relaxed ordering suffices):
 // whatever the timing, each component's minimum seed completes its
 // discovery, commits first among the component's seeds, and stamps the
 // members' group_serial so every duplicate is discarded — which is why the
-// committed output is bit-identical to the sequential loop's for any lane
-// count, including the inline zero-worker execution.
+// committed output is bit-identical for any lane count, including the
+// inline zero-worker execution.
 //
 // Probe accounting follows determinism: only committed discoveries' counters
 // merge into the tree's shared statistics (keeping range_searches et al.
 // lane-count-deterministic); discarded work is tallied separately under the
 // speculative_* metrics, which are timing-dependent by nature.
 
-void Disc::ProcessNeoCoresParallel(const std::vector<PointId>& neo_cores) {
+void Disc::ProcessNeoCores(const std::vector<PointId>& neo_cores) {
   if (neo_cores.empty()) return;
   const std::size_t n = neo_cores.size();
 
@@ -825,10 +539,9 @@ void Disc::NeoDiscoveryWorker(
     return;
   }
 
-  // The sequential traversal's per-branch visit_serial checks amount to one
-  // first-visit filter per point (the branches are mutually exclusive and
-  // share one serial), so a single local set reproduces them — without
-  // writing any record field from a lane.
+  // One first-visit filter per point (each hit is a neo-core, an M+ member,
+  // or a border, never two of these), kept in a local set so no record
+  // field is written from a lane.
   std::unordered_set<PointId> seen;
   std::deque<PointId> queue;
   seen.insert(neo_cores[seed_idx]);
@@ -878,9 +591,9 @@ void Disc::NeoDiscoveryWorker(
 
 void Disc::CommitNeoGroup(const NeoDiscovery& d) {
   // Canonicalize the recorded raw handles in encounter order. The registry
-  // holds exactly the unions of all earlier commits — the same state the
-  // sequential algorithm had while traversing this group — so this list
-  // equals the sequential cid_list verbatim.
+  // holds exactly the unions of all earlier commits, so the distinct
+  // clusters M+ spreads over are resolved against the state this group's
+  // turn in seed order sees.
   std::vector<ClusterId> cid_list;
   for (ClusterId raw : d.raw_cids) {
     const ClusterId c = registry_.Find(raw);
@@ -889,6 +602,8 @@ void Disc::CommitNeoGroup(const NeoDiscovery& d) {
     }
   }
 
+  // Only M+'s labels decide (Alg. 2, line 11) — no connectivity check is
+  // needed.
   ClusterId g;
   if (cid_list.empty()) {
     g = registry_.NewCluster();  // Emergence.
@@ -897,6 +612,8 @@ void Disc::CommitNeoGroup(const NeoDiscovery& d) {
     g = cid_list[0];  // Expansion.
     events_.push_back({ClusterEventType::kGrow, {g}});
   } else {
+    // M+ spreads over several clusters: merge them all (constant-time unions
+    // in the registry — no relabeling pass).
     g = cid_list[0];
     for (std::size_t i = 1; i < cid_list.size(); ++i) {
       g = registry_.Union(g, cid_list[i]);
@@ -914,7 +631,8 @@ void Disc::CommitNeoGroup(const NeoDiscovery& d) {
   }
   for (const auto& [bp, wit] : d.borders) {
     Record& rb = GetRecord(bp);
-    // The deferred witness write the sequential traversal did inline.
+    // The witness keeps any later recheck of this border consistent with
+    // the group's final label.
     rb.witness = wit;
     rb.witness_serial = update_serial_;
     if (rb.deleted || IsCoreNow(rb)) continue;

@@ -20,8 +20,8 @@ struct DiscMetrics {
   // Disc::ProcessExCores); nonzero only on slides where one cluster split
   // under more than one ex-core group.
   std::uint64_t survivor_reconciliations = 0;
-  // Level-synchronous rounds executed by the strided MS-BFS (zero when
-  // parallel_cluster is off). Deterministic for any lane count.
+  // Level-synchronous rounds executed by MS-BFS; with use_msbfs off only
+  // survivor reconciliations run it. Deterministic for any lane count.
   std::uint64_t msbfs_rounds = 0;
   // Speculative neo-core discoveries launched and the subset whose results
   // were discarded (aborted by a smaller seed's claim, or completed as a
@@ -46,13 +46,14 @@ struct DiscMetrics {
   double ex_phase_ms = 0.0;  // Ex-core closures + split checks.
   double neo_phase_ms = 0.0; // Neo-core closures + merge decisions.
   double recheck_ms = 0.0;   // Sec.-V border/noise relabeling.
-  // Time inside COLLECT's parallel probe fan-out (contained in collect_ms)
-  // and the number of lanes the fan-out ran on (1 = sequential path).
+  // Time inside COLLECT's parallel probe fan-out (contained in collect_ms).
   double collect_parallel_ms = 0.0;
-  // Time inside CLUSTER's parallel regions: strided MS-BFS probe rounds and
-  // the speculative neo-discovery fan-out (contained in ex_phase_ms /
+  // Time inside CLUSTER's parallel regions: MS-BFS probe rounds and the
+  // speculative neo-discovery fan-out (contained in ex_phase_ms /
   // neo_phase_ms).
   double cluster_parallel_ms = 0.0;
+  // Lanes the fan-outs ran on: those of the pool in use (a borrowed one
+  // included), or 1 when probes run inline.
   std::uint64_t threads_used = 1;
 
   void Reset() { *this = DiscMetrics{}; }

@@ -19,7 +19,11 @@ namespace disc {
 namespace {
 
 // Spill-file framing. Same-machine byte order, like Disc's own checkpoint.
-constexpr std::uint32_t kSessionMagic = 0x444E4753;  // "SGND" little-endian.
+constexpr std::uint32_t kSessionMagic = 0x454E4753;  // "SGNE" little-endian.
+// The previous layout, whose config block carried two more fields (a
+// CLUSTER-mode byte and a probe-batch u32). Recognized only to refuse it
+// by name instead of misreading those bytes as checkpoint data.
+constexpr std::uint32_t kSessionMagicV1 = 0x444E4753;  // "SGND".
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -465,8 +469,6 @@ Status DiscEngine::SaveSession(const Session& session,
   WritePod(out, static_cast<std::uint8_t>(c.use_border_witness));
   WritePod(out, static_cast<std::int32_t>(c.rtree_max_entries));
   WritePod(out, static_cast<std::uint8_t>(c.rtree_split_policy));
-  WritePod(out, static_cast<std::uint8_t>(c.parallel_cluster));
-  WritePod(out, c.parallel_cluster_min_batch);
   if (!out) {
     return Status::Error("session \"" + session.name +
                          "\": write failed on the spill header");
@@ -627,7 +629,13 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     if (!in) return fail("cannot open " + path);
     std::uint32_t magic = 0;
     std::string stored_name, method;
-    if (!ReadPod(in, &magic) || magic != kSessionMagic ||
+    if (ReadPod(in, &magic) && magic == kSessionMagicV1) {
+      return fail("session spill " + path +
+                  " has the superseded \"SGND\" layout, whose config block "
+                  "this build no longer reads; re-create the session and "
+                  "checkpoint it again");
+    }
+    if (!in || magic != kSessionMagic ||
         !ReadString(in, &stored_name) || stored_name != name ||
         !ReadString(in, &method)) {
       return fail("corrupt session header in " + path);
@@ -637,15 +645,14 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     ClustererSpec& spec = so.spec;
     std::uint64_t window_size = 0, stride = 0, slides_run = 0;
     std::uint8_t use_msbfs = 0, use_epoch = 0, use_witness = 0;
-    std::uint8_t split_policy = 0, parallel_cluster = 0;
+    std::uint8_t split_policy = 0;
     std::int32_t max_entries = 0;
     if (!ReadPod(in, &spec.dims) || !ReadPod(in, &window_size) ||
         !ReadPod(in, &stride) || !ReadPod(in, &slides_run) ||
         !ReadPod(in, &spec.disc.eps) || !ReadPod(in, &spec.disc.tau) ||
         !ReadPod(in, &use_msbfs) || !ReadPod(in, &use_epoch) ||
         !ReadPod(in, &use_witness) || !ReadPod(in, &max_entries) ||
-        !ReadPod(in, &split_policy) || !ReadPod(in, &parallel_cluster) ||
-        !ReadPod(in, &spec.disc.parallel_cluster_min_batch)) {
+        !ReadPod(in, &split_policy)) {
       return fail("corrupt session header in " + path);
     }
     spec.window_size = window_size;
@@ -677,7 +684,6 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     spec.disc.use_border_witness = use_witness != 0;
     spec.disc.rtree_max_entries = max_entries;
     spec.disc.rtree_split_policy = static_cast<SplitPolicy>(split_policy);
-    spec.disc.parallel_cluster = parallel_cluster != 0;
     spec.disc.num_threads = 1;
 
     Status make_error;

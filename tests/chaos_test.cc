@@ -825,6 +825,25 @@ TEST(CorruptionMatrixTest, HeaderBitFlips) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CorruptionMatrixTest, SupersededMagicIsRefusedByName) {
+  const std::string dir = BuildGoodSpill("old_magic");
+  const std::string session_path = dir + "/fuzzed.session";
+  // The superseded "SGND" layout carried two more config fields, so its
+  // bytes after the header must never be parsed as a checkpoint.
+  std::string bytes = ReadFileBytes(session_path);
+  const std::uint32_t old_magic = 0x444E4753;
+  bytes.replace(0, sizeof(old_magic),
+                reinterpret_cast<const char*>(&old_magic), sizeof(old_magic));
+  WriteFileBytes(session_path, bytes);
+  EngineOptions options;
+  options.spill_dir = dir;
+  Status error;
+  EXPECT_EQ(DiscEngine::Open(options, &error), nullptr);
+  EXPECT_NE(error.message().find("SGND"), std::string::npos)
+      << error.message();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CorruptionMatrixTest, StrayTmpSiblingsAreIgnored) {
   const std::string dir = BuildGoodSpill("stray");
   // A crashed writer's leftovers must not confuse recovery: Open reads

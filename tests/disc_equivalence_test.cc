@@ -28,9 +28,9 @@ struct ParamCase {
   std::size_t stride;
   bool use_msbfs;
   bool use_epoch;
-  bool parallel_cluster = true;
   int generator;  // 0: blobs, 1: drifting blobs, 2: maze, 3: uniform.
   std::uint32_t dims;
+  std::uint32_t seed = 99;
 };
 
 std::unique_ptr<StreamSource> MakeSource(const ParamCase& pc,
@@ -76,14 +76,13 @@ class DiscEquivalenceTest : public ::testing::TestWithParam<ParamCase> {};
 
 TEST_P(DiscEquivalenceTest, MatchesFreshDbscanAfterEverySlide) {
   const ParamCase& pc = GetParam();
-  auto source = MakeSource(pc, /*seed=*/99);
+  auto source = MakeSource(pc, pc.seed);
 
   DiscConfig config;
   config.eps = pc.eps;
   config.tau = pc.tau;
   config.use_msbfs = pc.use_msbfs;
   config.use_epoch_probing = pc.use_epoch;
-  config.parallel_cluster = pc.parallel_cluster;
   Disc disc(pc.dims, config);
 
   // Twin instance: identical config except it runs on a thread pool. Every
@@ -105,25 +104,25 @@ TEST_P(DiscEquivalenceTest, MatchesFreshDbscanAfterEverySlide) {
     const DbscanResult truth = RunDbscan(contents, pc.eps, pc.tau);
     const EquivalenceResult eq = CheckSameClustering(
         disc.Snapshot(), truth.snapshot, contents, pc.eps);
-    ASSERT_TRUE(eq.ok) << "slide " << s << " [" << pc.name
-                       << "] seed 99: " << eq.error;
+    ASSERT_TRUE(eq.ok) << "slide " << s << " [" << pc.name << "] seed "
+                       << pc.seed << ": " << eq.error;
     const EquivalenceResult par_eq = CheckSameClustering(
         par_disc.Snapshot(), truth.snapshot, contents, pc.eps);
-    ASSERT_TRUE(par_eq.ok) << "slide " << s << " [" << pc.name
-                           << "] seed 99 (num_threads=4): " << par_eq.error;
+    ASSERT_TRUE(par_eq.ok) << "slide " << s << " [" << pc.name << "] seed "
+                           << pc.seed << " (num_threads=4): " << par_eq.error;
     const ClusteringSnapshot a = disc.Snapshot();
     const ClusteringSnapshot b = par_disc.Snapshot();
     ASSERT_TRUE(a.ids == b.ids && a.categories == b.categories &&
                 a.cids == b.cids)
-        << "slide " << s << " [" << pc.name
-        << "] seed 99: num_threads=4 snapshot diverged from num_threads=1";
+        << "slide " << s << " [" << pc.name << "] seed " << pc.seed
+        << ": num_threads=4 snapshot diverged from num_threads=1";
   }
 }
 
 std::vector<ParamCase> MakeCases() {
   std::vector<ParamCase> cases;
-  // Base grid: generators x optimization settings (MS-BFS, epoch probing,
-  // and the parallel-vs-legacy CLUSTER structure).
+  // Base grid: generators x optimization settings (MS-BFS, epoch probing)
+  // x two stream seeds (bit 2 of `opt`).
   int idx = 0;
   for (int gen = 0; gen <= 3; ++gen) {
     for (int opt = 0; opt < 8; ++opt) {
@@ -131,7 +130,7 @@ std::vector<ParamCase> MakeCases() {
       pc.generator = gen;
       pc.use_msbfs = (opt & 1) != 0;
       pc.use_epoch = (opt & 2) != 0;
-      pc.parallel_cluster = (opt & 4) != 0;
+      pc.seed = (opt & 4) != 0 ? 99 : 7;
       pc.eps = gen == 3 ? 0.45 : 0.4;
       pc.tau = 5;
       pc.window = 600;

@@ -87,7 +87,6 @@ TEST_P(DiscFuzzTest, PolylineChainsStayExact) {
   // Alternate optimization settings across seeds for breadth.
   config.use_msbfs = (seed % 2) == 0;
   config.use_epoch_probing = (seed % 3) != 0;
-  config.parallel_cluster = (seed % 4) < 2;
   Disc disc(2, config);
   DiscConfig par_config = config;
   par_config.num_threads = 4;

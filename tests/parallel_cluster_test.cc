@@ -2,10 +2,8 @@
 // deltas, events, and the deterministic metrics must be byte-identical for
 // every DiscConfig::num_threads value — on every synthetic generator and on
 // adversarial slides engineered to force multi-starter MS-BFS front meets
-// and neo-core merge storms. Covers both parallel_cluster modes (the
-// parallel-structure CLUSTER and the legacy interleaved one; each must be
-// internally thread-count-deterministic, though the two modes may assign
-// cluster ids differently from each other).
+// and neo-core merge storms. num_threads = 1 runs every probe inline, so
+// the sweeps also pin inline against pooled probes.
 
 #include <cstdint>
 #include <memory>
@@ -72,7 +70,6 @@ std::string CheckpointBytes(const Disc& disc) {
 struct SweepCase {
   std::string name;
   int generator;  // 0: blobs, 1: drifting blobs, 2: maze, 3: uniform.
-  bool parallel_cluster;
 };
 
 std::unique_ptr<StreamSource> MakeSource(int generator, std::uint64_t seed) {
@@ -125,7 +122,6 @@ PipelineRun RunPipeline(const SweepCase& sc, std::uint32_t num_threads,
   config.eps = 0.4;
   config.tau = 5;
   config.num_threads = num_threads;
-  config.parallel_cluster = sc.parallel_cluster;
   Disc disc(2, config);
   CountBasedWindow window(600, 100);
   PipelineRun run;
@@ -162,13 +158,10 @@ std::vector<SweepCase> MakeSweepCases() {
   std::vector<SweepCase> cases;
   const char* gens[] = {"blobs", "drifting", "maze", "uniform"};
   for (int gen = 0; gen <= 3; ++gen) {
-    for (bool parallel : {true, false}) {
-      SweepCase sc;
-      sc.generator = gen;
-      sc.parallel_cluster = parallel;
-      sc.name = std::string(gens[gen]) + (parallel ? "_par" : "_seq");
-      cases.push_back(sc);
-    }
+    SweepCase sc;
+    sc.generator = gen;
+    sc.name = std::string(gens[gen]) + "_par";
+    cases.push_back(sc);
   }
   return cases;
 }
@@ -194,12 +187,11 @@ class BridgeStorm {
   static constexpr int kClumps = 30;
   static constexpr int kPointsPerClump = 5;
 
-  explicit BridgeStorm(std::uint32_t num_threads, bool parallel_cluster) {
+  explicit BridgeStorm(std::uint32_t num_threads) {
     DiscConfig config;
     config.eps = 0.3;
     config.tau = 3;
     config.num_threads = num_threads;
-    config.parallel_cluster = parallel_cluster;
     disc_ = std::make_unique<Disc>(2, config);
   }
 
@@ -262,18 +254,15 @@ class BridgeStorm {
 };
 
 TEST(BridgeStormTest, ShatterAndRemergeIsThreadCountDeterministic) {
-  for (bool parallel : {true, false}) {
-    BridgeStorm base_storm(1, parallel);
-    const std::vector<std::string> baseline = base_storm.Run();
-    for (std::uint32_t threads : {2u, 4u, 8u}) {
-      BridgeStorm storm(threads, parallel);
-      const std::vector<std::string> trace = storm.Run();
-      ASSERT_EQ(trace.size(), baseline.size());
-      for (std::size_t s = 0; s < trace.size(); ++s) {
-        ASSERT_EQ(trace[s], baseline[s])
-            << "parallel_cluster=" << parallel << " threads " << threads
-            << " step " << s;
-      }
+  BridgeStorm base_storm(1);
+  const std::vector<std::string> baseline = base_storm.Run();
+  for (std::uint32_t threads : {2u, 4u, 8u}) {
+    BridgeStorm storm(threads);
+    const std::vector<std::string> trace = storm.Run();
+    ASSERT_EQ(trace.size(), baseline.size());
+    for (std::size_t s = 0; s < trace.size(); ++s) {
+      ASSERT_EQ(trace[s], baseline[s]) << "threads " << threads << " step "
+                                       << s;
     }
   }
 }
@@ -283,7 +272,7 @@ TEST(BridgeStormTest, ShatterActuallyExercisesMultiStarterMsBfs) {
   // run a split (several MS-BFS components) and the re-bridge slide a merge.
   bool saw_split = false;
   bool saw_merge = false;
-  BridgeStorm probe(4, /*parallel_cluster=*/true);
+  BridgeStorm probe(4);
   std::vector<std::vector<Point>> clump_pts(BridgeStorm::kClumps);
   std::vector<Point> incoming;
   for (int c = 0; c < BridgeStorm::kClumps; ++c) {
@@ -312,32 +301,6 @@ TEST(BridgeStormTest, ShatterActuallyExercisesMultiStarterMsBfs) {
     if (ev.type == ClusterEventType::kMerge) saw_merge = true;
   }
   EXPECT_TRUE(saw_merge) << "re-bridge slide produced no merge";
-}
-
-// ---------------------------------------------------------------------------
-// Execution knobs must not be semantic
-// ---------------------------------------------------------------------------
-
-TEST(ParallelClusterKnobTest, MinBatchThresholdDoesNotChangeOutput) {
-  auto run = [](std::uint32_t min_batch) {
-    auto source = MakeSource(/*generator=*/1, /*seed=*/7);
-    DiscConfig config;
-    config.eps = 0.4;
-    config.tau = 5;
-    config.num_threads = 4;
-    config.parallel_cluster_min_batch = min_batch;
-    Disc disc(2, config);
-    CountBasedWindow window(500, 100);
-    std::string all;
-    for (int s = 0; s < 10; ++s) {
-      WindowDelta d = window.Advance(source->NextPoints(100));
-      all += CanonicalState(disc, disc.Update(d.incoming, d.outgoing));
-    }
-    return all + CheckpointBytes(disc);
-  };
-  const std::string inline_probes = run(1u << 30);  // Never uses the pool.
-  const std::string pooled_probes = run(1);         // Always uses the pool.
-  ASSERT_EQ(inline_probes, pooled_probes);
 }
 
 }  // namespace

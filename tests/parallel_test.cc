@@ -243,6 +243,21 @@ TEST(ThreadDeterminismTest, MetricsReportThreadsUsed) {
   EXPECT_EQ(disc.last_metrics().threads_used, 4u);
   EXPECT_GE(disc.last_metrics().collect_parallel_ms, 0.0);
   EXPECT_GE(disc.LastPhaseTimings().threads_used, 4u);
+
+  // A borrowed pool, not num_threads, decides the lanes the probes use
+  // (DiscEngine runs sessions at num_threads = 1 and lends a lone one its
+  // shared pool).
+  config.num_threads = 1;
+  Disc borrower(2, config);
+  ThreadPool pool(3);
+  borrower.SetExecutionPool(&pool);
+  borrower.Update(incoming, {});
+  EXPECT_EQ(borrower.last_metrics().threads_used, 4u);
+  EXPECT_EQ(borrower.LastPhaseTimings().threads_used, 4u);
+  borrower.ReleaseExecutionPool();
+  borrower.Update({}, incoming);
+  EXPECT_EQ(borrower.last_metrics().threads_used, 1u);
+  EXPECT_EQ(borrower.LastPhaseTimings().threads_used, 1u);
 }
 
 }  // namespace

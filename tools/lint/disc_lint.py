@@ -34,10 +34,11 @@ precision/recall notes):
                       path: tick_counter_ may be touched only inside
                       rtree.*, and NewTick / EpochRangeSearch /
                       SearchMarking must never appear in the parallel
-                      stages — COLLECT (Collect / FanOutProbes), the
-                      parallel CLUSTER entry points (MsBfsStrided /
-                      FanOutClusterProbes / ProcessNeoCoresParallel /
-                      NeoDiscoveryWorker), the thread-pool lane entry
+                      stages — the probe fan-out (Collect /
+                      FanOutProbes), the CLUSTER entry points (MsBfs /
+                      ProcessNeoCores / NeoDiscoveryWorker; the
+                      single-threaded baselines' same-named traversals
+                      are exempt), the thread-pool lane entry
                       points (DrainBatch / WorkerLoop), the engine
                       scheduling stages (Drain / DrainLocked /
                       ExecuteSessionSlide), or any ParallelFor argument.
@@ -868,10 +869,14 @@ def check_label_choke_point(src, index):
 # ExecuteSessionSlide is the per-lane slide body — epoch writes belong to
 # the probing layer underneath, never to the scheduler).
 EPOCH_STAGES = {
-    "Collect", "FanOutProbes", "MsBfsStrided", "FanOutClusterProbes",
-    "ProcessNeoCoresParallel", "NeoDiscoveryWorker", "DrainBatch",
-    "WorkerLoop", "Drain", "DrainLocked", "ExecuteSessionSlide",
+    "Collect", "FanOutProbes", "MsBfs", "ProcessNeoCores",
+    "NeoDiscoveryWorker", "DrainBatch", "WorkerLoop", "Drain",
+    "DrainLocked", "ExecuteSessionSlide",
 }
+
+# Single-threaded baselines that reuse a stage name for their own
+# epoch-probed traversal (IncDbscan::MsBfs); nothing there runs on a lane.
+EPOCH_SEQUENTIAL_OWNERS = {"IncDbscan"}
 
 EPOCH_CALLS = {"NewTick", "EpochRangeSearch", "SearchMarking"}
 
@@ -891,7 +896,8 @@ def check_epoch_confinement(src, index):
                 src.report(i, "epoch-confinement")
 
     spans = [(d.body_start, d.body_end) for d in src.defs
-             if d.name in EPOCH_STAGES]
+             if d.name in EPOCH_STAGES and
+             d.cls not in EPOCH_SEQUENTIAL_OWNERS]
     for i, t in enumerate(toks):
         if t.kind == "id" and t.text == "ParallelFor" and \
                 i + 1 < len(toks) and toks[i + 1].text == "(":

@@ -1,7 +1,7 @@
-// Clean twin for the parallel-CLUSTER epoch-confinement pair: the strided
-// MS-BFS, the cluster-probe fan-out, and the neo-discovery worker issue
-// tick-free (const) probes only; epoch ticks stay on the legacy sequential
-// traversals, which never overlap concurrent readers.
+// Clean twin for the CLUSTER epoch-confinement pair: MS-BFS, the probe
+// fan-out, the neo-core phase, and the neo-discovery worker issue tick-free
+// (const) probes only; epoch ticks stay on the single-source BFS, which
+// never overlaps concurrent readers.
 #include <cstdint>
 #include <vector>
 
@@ -14,8 +14,8 @@ struct Tree {
 struct Clusterer {
   Tree tree_;
 
-  int MsBfsInterleaved(const std::vector<int>& m_minus) {
-    // Legacy sequential traversal: epoch probing is the point (Alg. 4).
+  int SequentialBfs(const std::vector<int>& m_minus) {
+    // Sequential traversal: epoch probing is the point (Alg. 4).
     const std::uint64_t tick = tree_.NewTick();
     for (int center : m_minus) {
       tree_.EpochRangeSearch(center, 1.0, tick);
@@ -23,15 +23,19 @@ struct Clusterer {
     return 1;
   }
 
-  int MsBfsStrided(const std::vector<int>& m_minus) {
-    FanOutClusterProbes(m_minus);  // Tick-free rounds only.
+  int MsBfs(const std::vector<int>& m_minus) {
+    FanOutProbes(m_minus);  // Tick-free rounds only.
     return 1;
   }
 
-  void FanOutClusterProbes(const std::vector<int>& centers) {
+  void FanOutProbes(const std::vector<int>& centers) {
     for (int center : centers) {
       tree_.RangeSearch(center, 1.0);  // Const probe: no epoch writes.
     }
+  }
+
+  void ProcessNeoCores(const std::vector<int>& neo_cores) {
+    for (int seed : neo_cores) NeoDiscoveryWorker(seed);
   }
 
   void NeoDiscoveryWorker(int seed) {

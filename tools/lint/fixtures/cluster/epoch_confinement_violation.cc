@@ -1,8 +1,8 @@
-// Golden violation for the epoch-confinement rule in the parallel CLUSTER
-// stage: epoch ticks and epoch-probed searches inside the strided MS-BFS,
-// the cluster-probe fan-out, and the speculative neo-discovery worker. All
-// three run tick-free concurrent probes — writing entry epochs there races
-// with in-flight readers.
+// Golden violation for the epoch-confinement rule in the CLUSTER stage:
+// epoch ticks and epoch-probed searches inside MS-BFS, the neo-core phase,
+// and the speculative neo-discovery worker. All three run tick-free
+// concurrent probes — writing entry epochs there races with in-flight
+// readers.
 #include <cstdint>
 #include <vector>
 
@@ -15,9 +15,9 @@ struct Tree {
 struct Clusterer {
   Tree tree_;
 
-  int MsBfsStrided(const std::vector<int>& m_minus) {
-    // VIOLATION: the strided rounds fan probes out to pool lanes; a tick
-    // here mutates epoch state while concurrent readers may be in flight.
+  int MsBfs(const std::vector<int>& m_minus) {
+    // VIOLATION: the rounds fan probes out to pool lanes; a tick here
+    // mutates epoch state while concurrent readers may be in flight.
     const std::uint64_t tick = tree_.NewTick();
     for (int center : m_minus) {
       tree_.EpochRangeSearch(center, 1.0, tick);  // VIOLATION: epoch probe.
@@ -25,9 +25,9 @@ struct Clusterer {
     return 1;
   }
 
-  void FanOutClusterProbes(const std::vector<int>& centers) {
-    for (int center : centers) {
-      SearchMarking(center, 0);  // VIOLATION: epoch-marking in the fan-out.
+  void ProcessNeoCores(const std::vector<int>& neo_cores) {
+    for (int seed : neo_cores) {
+      SearchMarking(seed, 0);  // VIOLATION: epoch-marking in the neo phase.
     }
   }
 
