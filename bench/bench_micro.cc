@@ -183,9 +183,7 @@ BENCHMARK(BM_DiscSlide)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // COLLECT scaling across worker-thread counts on a 100k-point window (5%
 // stride). Manual time is the COLLECT phase only, straight from the metrics,
-// so the CLUSTER phases do not dilute the comparison. On a single-core host
-// all thread counts degenerate to roughly the sequential time (plus pool
-// overhead); the spread is only visible on multi-core hardware
+// so the sequential CLUSTER phases do not dilute the comparison
 // (bench/results/threads_scaling.md).
 void BM_DiscCollectThreads(benchmark::State& state) {
   constexpr std::size_t kWindow = 100000;
@@ -225,50 +223,6 @@ void BM_DiscCollectThreads(benchmark::State& state) {
       method.last_metrics().threads_used);
 }
 BENCHMARK(BM_DiscCollectThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseManualTime();
-
-// CLUSTER-stage scaling: drifting blobs keep the ex-core (MS-BFS rounds)
-// and neo-core (speculative discovery) phases busy every slide. Manual time
-// counts only the two CLUSTER phases; cluster_parallel_ms isolates the
-// portion spent inside the parallel fan-outs.
-void BM_DiscClusterThreads(benchmark::State& state) {
-  constexpr std::size_t kWindow = 100000;
-  constexpr std::size_t kStride = 5000;
-  BlobsGenerator::Options o;
-  o.num_blobs = 24;
-  o.stddev = 0.35;
-  o.drift = 0.03;
-  o.seed = 29;
-  BlobsGenerator source(o);
-  DiscConfig config;
-  config.eps = 0.25;
-  config.tau = 5;
-  config.num_threads = static_cast<std::uint32_t>(state.range(0));
-  Disc method(2, config);
-  CountBasedWindow window(kWindow, kStride);
-  while (!window.full()) {
-    WindowDelta d = window.Advance(source.NextPoints(kStride));
-    method.Update(d.incoming, d.outgoing);
-  }
-  double cluster_total_ms = 0.0;
-  double parallel_total_ms = 0.0;
-  for (auto _ : state) {
-    WindowDelta d = window.Advance(source.NextPoints(kStride));
-    method.Update(d.incoming, d.outgoing);
-    const double ms =
-        method.last_metrics().ex_phase_ms + method.last_metrics().neo_phase_ms;
-    cluster_total_ms += ms;
-    parallel_total_ms += method.last_metrics().cluster_parallel_ms;
-    state.SetIterationTime(ms / 1000.0);
-  }
-  state.SetItemsProcessed(state.iterations() * kStride);
-  state.counters["cluster_ms"] =
-      cluster_total_ms / static_cast<double>(state.iterations());
-  state.counters["cluster_parallel_ms"] =
-      parallel_total_ms / static_cast<double>(state.iterations());
-  state.counters["threads"] = static_cast<double>(
-      method.last_metrics().threads_used);
-}
-BENCHMARK(BM_DiscClusterThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseManualTime();
 
 // MS-BFS vs sequential split check: drifting blobs generate frequent
 // ex-core groups; this measures the full update with each strategy.

@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
 
   // DISC with DBSCAN thresholds eps=0.4, tau=5: a point is a core when at
   // least 5 points (itself included) lie within distance 0.4. Two pool
-  // lanes fan out the COLLECT and CLUSTER probes; results are bit-identical
-  // for any num_threads.
+  // lanes fan out the COLLECT probes (CLUSTER runs on the calling thread);
+  // results are bit-identical for any num_threads.
   disc::DiscConfig config;
   config.eps = 0.4;
   config.tau = 5;

@@ -66,8 +66,7 @@ python3 tools/trace_check.py \
   --require-span disc.collect --require-span disc.ex_phase \
   --require-span disc.neo_phase --require-span disc.recheck \
   --require-span rtree.epoch_search \
-  --require-span disc.msbfs --require-span disc.msbfs.round \
-  --require-span disc.neo_discovery \
+  --require-span disc.msbfs \
   --jsonl "${obs_dir}/metrics.jsonl" --min-slides 20
 
 echo "=== engine smoke: multi-session checkpoint/recover + scheduling spans ==="

@@ -50,10 +50,10 @@ class ThreadPool {
   // been executed (or abandoned after an exception). `chunk` is the number
   // of consecutive indices a lane claims per fetch_add: 0 picks the default
   // (8 chunks per lane, good for cheap mildly-skewed bodies such as range
-  // probes); pass 1 when per-index costs are wildly uneven — e.g. CLUSTER's
-  // speculative neo-core discoveries, where one index explores a whole
-  // component while its neighbors abort instantly — so no expensive index
-  // queues behind another inside one claimed chunk.
+  // probes); pass 1 when per-index costs are wildly uneven — e.g. the
+  // engine's one-slide-per-session rounds, where one index may be a heavy
+  // slide and its neighbor a trivial one — so no expensive index queues
+  // behind another inside one claimed chunk.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn,
                    std::size_t chunk = 0) EXCLUDES(mutex_);

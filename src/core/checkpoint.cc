@@ -51,13 +51,10 @@ Status Disc::SaveCheckpoint(std::ostream& out) const {
   WritePod(out, config_.eps);
   WritePod(out, config_.tau);
   WritePod(out, static_cast<std::uint64_t>(records_.size()));
-  // Serialize in ascending id order so identical clusterer states produce
-  // byte-identical checkpoints regardless of hash-table layout.
-  std::vector<PointId> sorted_ids;
-  sorted_ids.reserve(records_.size());
-  for (const auto& [id, rec] : records_) sorted_ids.push_back(id);
-  std::sort(sorted_ids.begin(), sorted_ids.end());
-  for (PointId id : sorted_ids) {
+  // Serialize in the label column's ascending id order so identical
+  // clusterer states produce byte-identical checkpoints regardless of
+  // hash-table layout.
+  for (PointId id : col_ids_) {
     const Record& rec = records_.at(id);
     // A fired short-write poisons `out` mid-record: everything emitted so
     // far stays on disk as a torn prefix, caught by the !out check below.
@@ -169,7 +166,17 @@ Status Disc::LoadCheckpoint(std::istream& in) {
     }
   }
 
-  // Rebuild the index; reset per-update scratch state.
+  // Rebuild the label column and the index; reset per-update scratch state.
+  col_ids_.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) col_ids_[i] = points[i].id;
+  std::sort(col_ids_.begin(), col_ids_.end());
+  col_categories_.resize(col_ids_.size());
+  col_cids_.resize(col_ids_.size());
+  for (std::size_t i = 0; i < col_ids_.size(); ++i) {
+    const Record& rec = records_.at(col_ids_[i]);
+    col_categories_[i] = rec.category;
+    col_cids_[i] = rec.cid;
+  }
   tree_.Clear();
   tree_.BulkLoad(std::move(points));
   events_.clear();

@@ -20,11 +20,10 @@ struct DiscConfig {
   // minimal bonding cores is checked with repeated single-source BFS.
   bool use_msbfs = true;
 
-  // Epoch-based probing of the R-tree (Alg. 4) in the sequential
-  // traversals: the ex-core closures and the single-source BFS. When false,
-  // range searches revisit already-explored index regions and the traversal
-  // filters duplicates on the client side. MS-BFS and the neo-core
-  // discoveries always probe tick-free, so this switch does not reach them.
+  // Epoch-based probing of the R-tree (Alg. 4) in every CLUSTER traversal:
+  // the ex-core closures, MS-BFS or the single-source BFS, and the neo-core
+  // closures. When false, range searches revisit already-explored index
+  // regions and the traversal filters duplicates on the client side.
   bool use_epoch_probing = true;
 
   // Border-witness shortcut (this implementation's addition, not in the
@@ -37,13 +36,12 @@ struct DiscConfig {
   int rtree_max_entries = 16;
   SplitPolicy rtree_split_policy = SplitPolicy::kQuadratic;
 
-  // Lanes for the probe fan-outs of COLLECT, the MS-BFS rounds, and the
-  // neo-core discoveries (docs/ALGORITHM.md §3.1, §4.6). 1 = fully
-  // sequential (no pool is even created); 0 = one lane per hardware thread.
-  // The produced clustering, deltas, and events are bit-identical for every
-  // value: the parallel probes are read-only and tick-free, and their
-  // results are merged on the calling thread in a thread-count-independent
-  // order.
+  // Lanes for COLLECT's probe fan-out (docs/ALGORITHM.md §3.1, §4.6);
+  // CLUSTER always runs on the calling thread. 1 = fully sequential (no
+  // pool is even created); 0 = one lane per hardware thread. The produced
+  // clustering, deltas, and events are bit-identical for every value: the
+  // parallel probes are read-only and tick-free, and their results are
+  // merged on the calling thread in a thread-count-independent order.
   std::uint32_t num_threads = 1;
 
   // Checks every parameter and returns a descriptive error for the first

@@ -88,8 +88,7 @@ void Disc::SetLabel(PointId id, Record* rec, Category category,
 // ---------------------------------------------------------------------------
 
 void Disc::FanOutProbes(const std::vector<const Point*>& centers,
-                        std::vector<std::vector<PointId>>* hits,
-                        double* parallel_ms) {
+                        std::vector<std::vector<PointId>>* hits) {
   // A single probe gains nothing from a dispatch; the candidate lists are
   // identical inline or pooled.
   constexpr std::size_t kMinPooledBatch = 2;
@@ -111,7 +110,7 @@ void Disc::FanOutProbes(const std::vector<const Point*>& centers,
                       &lane_stats[lane]);
                 });
   }
-  *parallel_ms += timer.ElapsedMillis();
+  metrics_.collect_parallel_ms += timer.ElapsedMillis();
   for (const RTreeStats& s : lane_stats) tree_.stats().MergeFrom(s);
 }
 
@@ -162,7 +161,7 @@ void Disc::Collect(const std::vector<Point>& incoming,
     if (out_recs[i] != nullptr) centers[i] = &out_recs[i]->pt;
   }
   std::vector<std::vector<PointId>> hits;
-  FanOutProbes(centers, &hits, &metrics_.collect_parallel_ms);
+  FanOutProbes(centers, &hits);
 
   // Merge in batch order: decrement each surviving neighbor once per exit.
   for (std::size_t i = 0; i < outgoing.size(); ++i) {
@@ -221,7 +220,7 @@ void Disc::Collect(const std::vector<Point>& incoming,
   for (std::size_t j = 0; j < incoming.size(); ++j) {
     if (in_recs[j] != nullptr) centers[j] = &in_recs[j]->pt;
   }
-  FanOutProbes(centers, &hits, &metrics_.collect_parallel_ms);
+  FanOutProbes(centers, &hits);
 
   for (std::size_t j = 0; j < incoming.size(); ++j) {
     Record* recp = in_recs[j];
@@ -340,6 +339,7 @@ const UpdateDelta& Disc::Update(const std::vector<Point>& incoming,
     }
     rec.core_prev = rec.n_eps >= config_.tau;
   }
+  RefreshLabelColumn();
 
   const RTreeStats& ts = tree_.stats();
   metrics_.range_searches = ts.range_searches - stats_at_start.range_searches;
@@ -379,29 +379,78 @@ PhaseTimings Disc::LastPhaseTimings() const {
 
 std::vector<Point> Disc::WindowContents() const {
   std::vector<Point> out;
-  out.reserve(records_.size());
-  for (const auto& [id, rec] : records_) out.push_back(rec.pt);
-  std::sort(out.begin(), out.end(),
-            [](const Point& a, const Point& b) { return a.id < b.id; });
+  out.reserve(col_ids_.size());
+  for (PointId id : col_ids_) out.push_back(records_.at(id).pt);
   return out;
 }
 
-ClusteringSnapshot Disc::Snapshot() const {
-  ClusteringSnapshot snap;
-  snap.ids.reserve(records_.size());
-  snap.categories.reserve(records_.size());
-  snap.cids.reserve(records_.size());
-  for (const auto& [id, rec] : records_) {
-    assert(!rec.deleted);
-    snap.ids.push_back(id);
-    snap.categories.push_back(rec.category);
-    snap.cids.push_back(rec.category == Category::kNoise
-                            ? kNoiseCluster
-                            : static_cast<const ClusterRegistry&>(registry_)
-                                  .Find(rec.cid));
+void Disc::RefreshLabelColumn() {
+  // Exits: one stable compaction pass.
+  if (!delta_.exited.empty()) {
+    std::vector<PointId> gone(delta_.exited);
+    std::sort(gone.begin(), gone.end());
+    std::size_t w = 0;
+    auto g = gone.begin();
+    for (std::size_t r = 0; r < col_ids_.size(); ++r) {
+      while (g != gone.end() && *g < col_ids_[r]) ++g;
+      if (g != gone.end() && *g == col_ids_[r]) continue;
+      col_ids_[w] = col_ids_[r];
+      col_categories_[w] = col_categories_[r];
+      col_cids_[w] = col_cids_[r];
+      ++w;
+    }
+    col_ids_.resize(w);
+    col_categories_.resize(w);
+    col_cids_.resize(w);
   }
-  // Hash-ordered fill above; emit id-sorted (see ClusteringSnapshot).
-  snap.SortById();
+
+  // Entries: merged in from the back, so ids arriving in ascending order
+  // (the stream sources' contract) only append.
+  std::vector<PointId> fresh(delta_.entered);
+  std::sort(fresh.begin(), fresh.end());
+  std::size_t r = col_ids_.size();
+  std::size_t w = r + fresh.size();
+  col_ids_.resize(w);
+  col_categories_.resize(w);
+  col_cids_.resize(w);
+  for (std::size_t f = fresh.size(); f > 0;) {
+    --w;
+    if (r > 0 && col_ids_[r - 1] > fresh[f - 1]) {
+      --r;
+      col_ids_[w] = col_ids_[r];
+      col_categories_[w] = col_categories_[r];
+      col_cids_[w] = col_cids_[r];
+    } else {
+      --f;
+      const Record& rec = GetRecord(fresh[f]);
+      col_ids_[w] = fresh[f];
+      col_categories_[w] = rec.category;
+      col_cids_[w] = rec.cid;
+    }
+  }
+
+  // Relabels: patched in place.
+  for (PointId id : delta_.relabeled) {
+    const auto it = std::lower_bound(col_ids_.begin(), col_ids_.end(), id);
+    assert(it != col_ids_.end() && *it == id);  // Relabels only survivors.
+    const std::size_t i = static_cast<std::size_t>(it - col_ids_.begin());
+    const Record& rec = GetRecord(id);
+    col_categories_[i] = rec.category;
+    col_cids_[i] = rec.cid;
+  }
+}
+
+ClusteringSnapshot Disc::Snapshot() const {
+  const auto& registry = static_cast<const ClusterRegistry&>(registry_);
+  ClusteringSnapshot snap;
+  snap.ids = col_ids_;
+  snap.categories = col_categories_;
+  snap.cids.resize(col_cids_.size());
+  for (std::size_t i = 0; i < col_cids_.size(); ++i) {
+    snap.cids[i] = col_categories_[i] == Category::kNoise
+                       ? kNoiseCluster
+                       : registry.Find(col_cids_[i]);
+  }
   return snap;
 }
 

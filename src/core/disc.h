@@ -1,15 +1,11 @@
 #ifndef DISC_CORE_DISC_H_
 #define DISC_CORE_DISC_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,13 +39,10 @@ namespace disc {
 // R-tree (Alg. 4) — can be toggled independently through DiscConfig; the
 // produced clustering is identical either way.
 //
-// The CLUSTER step's two traversal-heavy passes run their probes on the
-// COLLECT thread pool: MS-BFS expands level-synchronous rounds of tick-free
-// probes and merges fronts under a deterministic min-starter rule, and
-// neo-core closures run as speculative concurrent discoveries committed
-// sequentially in seed order (docs/ALGORITHM.md §4.6). Snapshots,
-// checkpoints, deltas, and events are bit-identical for every num_threads
-// value.
+// Only COLLECT fans its probes out across the thread pool; CLUSTER runs
+// sequentially on the calling thread, epoch-probed (docs/ALGORITHM.md
+// §4.6). Snapshots, checkpoints, deltas, and events are bit-identical for
+// every num_threads value.
 //
 // The resulting labeling equals what DBSCAN computes from scratch on the
 // window contents (up to cluster-id renaming and the usual DBSCAN tie on
@@ -175,10 +168,9 @@ class Disc : public StreamClusterer {
   // *centers[i] in index-traversal order — deterministic because the tree
   // is not mutated while the probes run. Probe counters accumulate per lane
   // and are merged into the tree's statistics; the fan-out's wall time is
-  // added to *parallel_ms. Serves COLLECT and the MS-BFS rounds.
+  // added to metrics_.collect_parallel_ms.
   void FanOutProbes(const std::vector<const Point*>& centers,
-                    std::vector<std::vector<PointId>>* hits,
-                    double* parallel_ms);
+                    std::vector<std::vector<PointId>>* hits);
 
   // Ex-core phase of CLUSTER: one retro-reachability closure + split check
   // per unprocessed ex-core group, exactly as Algorithm 2 reads — plus a
@@ -209,11 +201,11 @@ class Disc : public StreamClusterer {
   // since handles_before; returns false (recording nothing) when none was.
   bool PushSplitEvent(ClusterId old_cid, std::size_t handles_before);
 
-  // Connectivity checks. *survivor_rep receives a core id inside the
-  // component that kept its labels (the early-exit survivor). MsBfs is
-  // Algorithm 3 with parallel tick-free probe rounds and min-starter
-  // merges; SequentialBfs is the epoch-probed repeated single-source BFS
-  // that use_msbfs = false selects.
+  // Connectivity checks, both epoch-probed. *survivor_rep receives a core
+  // id inside the component that kept its labels (the early-exit survivor).
+  // MsBfs is Algorithm 3: interleaved searches with min-starter merges;
+  // SequentialBfs is the repeated single-source BFS that use_msbfs = false
+  // selects.
   int MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep);
   int SequentialBfs(const std::vector<PointId>& m_minus,
                     PointId* survivor_rep);
@@ -226,39 +218,19 @@ class Disc : public StreamClusterer {
                        const std::vector<PointId>& borders);
   void RecheckSurvivorBorders(const std::vector<PointId>& borders);
 
-  // Neo-core phase of CLUSTER: one nascent-reachability closure + label
-  // inspection per neo-core group. Every neo-core starts a
-  // NeoDiscoveryWorker on the pool; workers race claims through an atomic
-  // CAS-min table so that the smallest seed of each nascent-reachable
-  // component always completes its discovery while larger seeds abort
-  // early. Completed discoveries are then committed sequentially in seed
-  // order (duplicates and aborts discarded), so labels, events, deltas, and
-  // the registry evolve identically for any lane count, including zero
-  // workers.
+  // Neo-core phase of CLUSTER: one epoch-probed nascent-reachability
+  // closure + label inspection (emerge, grow, or merge) per unprocessed
+  // neo-core group, in neo_cores order.
   void ProcessNeoCores(const std::vector<PointId>& neo_cores);
-
-  // Result of one speculative neo-core discovery: a read-only BFS that
-  // records everything the commit step writes. `raw_cids` keeps the
-  // *uncanonicalized* cluster handles of the M+ members in encounter order —
-  // canonicalization is deferred to commit time, where the registry holds
-  // the unions of every earlier commit.
-  struct NeoDiscovery {
-    std::vector<PointId> group;  // Neo-cores of the component, BFS order.
-    std::vector<std::pair<PointId, PointId>> borders;  // (non-core, witness).
-    std::vector<ClusterId> raw_cids;
-    RTreeStats stats;  // This discovery's probe counters.
-    bool aborted = false;
-  };
-
-  void NeoDiscoveryWorker(
-      std::uint32_t seed_idx, const std::vector<PointId>& neo_cores,
-      const std::unordered_map<PointId, std::uint32_t>& seed_index,
-      std::vector<std::atomic<std::uint32_t>>* claims, NeoDiscovery* out);
-  void CommitNeoGroup(const NeoDiscovery& d);
+  void ProcessNeoGroup(PointId seed);
 
   // Final pass of Sec. V: refreshes the category/cid of non-core points
   // whose adjacent core set may have changed.
   void RecheckNonCores();
+
+  // Brings the label column up to date with delta_ at the end of Update:
+  // drops `exited`, merges `entered` in, and patches `relabeled`.
+  void RefreshLabelColumn();
 
   // Issues an eps-range search around `center`, honoring the epoch-probing
   // switch. The visitor returns true when the point needs no further visits
@@ -282,6 +254,12 @@ class Disc : public StreamClusterer {
   RTree tree_;
   std::unordered_map<PointId, Record> records_;
   ClusterRegistry registry_;
+  // The label column Snapshot() reads: every window point's id, category,
+  // and raw registry handle, sorted by id. Mirrors records_ after every
+  // Update and LoadCheckpoint.
+  std::vector<PointId> col_ids_;
+  std::vector<Category> col_categories_;
+  std::vector<ClusterId> col_cids_;
   // The config-owned probe fan-out pool; null when config_.num_threads
   // resolves to 1 (the sequential path then runs without any
   // synchronization).

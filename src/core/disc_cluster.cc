@@ -3,11 +3,8 @@
 // label recheck pass of Section V.
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
-#include <limits>
+#include <utility>
 
-#include "common/timer.h"
 #include "core/disc.h"
 #include "obs/trace.h"
 
@@ -38,12 +35,10 @@ void Disc::ProcessExGroup(PointId seed) {
   // BFS over ex-cores computes R-(seed); the minimal bonding cores M-(seed)
   // (cores in both windows adjacent to some member of R-) fall out of the
   // same range searches at no extra cost.
-  std::deque<PointId> queue;
+  std::vector<PointId> queue{seed};
   std::vector<PointId> m_minus;
-  queue.push_back(seed);
-  while (!queue.empty()) {
-    const PointId rid = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const PointId rid = queue[head];
     Record& r = GetRecord(rid);
     r.group_serial = update_serial_;
     if (!r.deleted) {
@@ -175,16 +170,18 @@ void Disc::RecheckSurvivorBorders(const std::vector<PointId>& borders) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-Starter BFS (Algorithm 3): level-synchronous rounds of tick-free
-// probes
+// Multi-Starter BFS (Algorithm 3): interleaved, epoch-probed searches
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Per-starter state of MS-BFS. Queues, claimed cores, and adjacent non-cores
-// are concatenated whenever two searches meet.
+// Per-starter state of MS-BFS: the BFS queue (queue[head..] is still to be
+// expanded), the claimed cores, and the adjacent non-cores. When two
+// searches meet, the absorbing one takes the other's unexpanded tail, cores,
+// and borders.
 struct MsThread {
-  std::deque<PointId> queue;
+  std::vector<PointId> queue;
+  std::size_t head = 0;
   std::vector<PointId> cores;
   std::vector<PointId> borders;
 };
@@ -192,28 +189,24 @@ struct MsThread {
 }  // namespace
 
 // One search per bonding core, run simultaneously: union-find over
-// starters, one popped queue head per live search per round, and a search
-// whose queue drains has fully explored one detaching component. Each
-// round's probes all run first (tick-free, fanned out across lanes via
-// FanOutProbes), and their hit lists are then applied to the live state
-// sequentially in round order. Two consequences:
-//  * Determinism by construction: every state mutation is a pure function
-//    of the hit lists, which depend only on the frozen tree — not on lane
-//    count or timing. A front meet is detected when an applied hit finds a
-//    core already claimed by a different root, and the min-starter merge
-//    rule (smaller starter index absorbs the larger) fixes the surviving
-//    search independently of discovery order.
-//  * Tick-free re-visits are no-ops: a probe may re-deliver an already
-//    claimed core or recorded non-core that epoch marking would have
-//    pruned, but the visit_serial guards make every such application a
-//    no-op (the only live effect, the claimed-by-other merge check, fires
-//    identically — both owners were already unified when the edge was first
-//    seen from its earlier-expanded endpoint).
+// starters, one expansion per live search per pass over the rotation, and a
+// search whose queue drains has fully explored one detaching component.
+// Every probe shares one epoch tick (Alg. 4), so each entry is delivered at
+// most once after it is consumed:
+//  * An expanded vertex marks its own entry, while a claimed core stays
+//    visible until its own expansion. Every core-core edge is therefore seen
+//    from its earlier-expanded endpoint, while the other endpoint is still
+//    unmarked — exactly when two searches meet. The min-starter rule
+//    (smaller starter index absorbs the larger) fixes which search survives
+//    a meet.
+//  * A non-core is marked on first sight: it only needs one witness and one
+//    recheck.
 int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
   obs::TraceSpan span("disc.msbfs", obs::TraceLevel::kDetail);
   span.AddArg("starters", m_minus.size());
   const std::uint64_t expansions_before = metrics_.msbfs_expansions;
   const std::uint64_t serial = ++search_serial_;
+  const std::uint64_t tick = tree_.NewTick();
   const std::size_t k = m_minus.size();
 
   std::vector<std::uint32_t> parent(k);
@@ -240,13 +233,13 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
 
   std::size_t active_count = k;
   auto merge_threads = [&](std::uint32_t a, std::uint32_t b) {
-    // Pre: a and b are distinct roots. Min-starter rule: the smaller starter
-    // index absorbs the larger, so the merged search's identity never
-    // depends on which round or probe discovered the meet.
+    // Pre: a and b are distinct roots.
     if (b < a) std::swap(a, b);
     MsThread& ta = threads[a];
     MsThread& tb = threads[b];
-    ta.queue.insert(ta.queue.end(), tb.queue.begin(), tb.queue.end());
+    ta.queue.insert(ta.queue.end(),
+                    tb.queue.begin() + static_cast<std::ptrdiff_t>(tb.head),
+                    tb.queue.end());
     ta.cores.insert(ta.cores.end(), tb.cores.begin(), tb.cores.end());
     ta.borders.insert(ta.borders.end(), tb.borders.begin(), tb.borders.end());
     tb = MsThread{};
@@ -261,22 +254,10 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
   }
 
   int drained = 0;
-  std::uint64_t rounds = 0;
-  // Round scratch, reused across iterations.
-  std::vector<std::uint32_t> batch_roots;
-  std::vector<PointId> batch_ids;
-  std::vector<const Point*> batch_centers;
-  std::vector<std::vector<PointId>> batch_hits;
-
+  std::uint64_t rounds = 0;  // Passes over the rotation.
   // Run until a single search remains (Alg. 3, line 5).
   while (active_count > 1) {
-    obs::TraceSpan round_span("disc.msbfs.round", obs::TraceLevel::kDetail);
     ++rounds;
-    // Build the round: pop one queue head per live search, in rotation
-    // order, draining any search whose component is complete (merges cannot
-    // happen here — they only fire while hits are applied).
-    batch_roots.clear();
-    batch_ids.clear();
     for (std::size_t idx = 0; idx < active.size() && active_count > 1;) {
       const std::uint32_t root = active[idx];
       if (find_root(root) != root) {
@@ -286,7 +267,7 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
         continue;
       }
       MsThread& th = threads[root];
-      if (th.queue.empty()) {
+      if (th.head == th.queue.size()) {
         // Component complete: detach it under a fresh cluster id.
         DetachComponent(th.cores, th.borders);
         th = MsThread{};  // Distinguishes drained roots from the survivor.
@@ -296,36 +277,17 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
         active.pop_back();
         continue;
       }
-      batch_roots.push_back(root);
-      batch_ids.push_back(th.queue.front());
-      th.queue.pop_front();
-      ++idx;
-    }
-    round_span.AddArg("batch", batch_ids.size());
-    round_span.AddArg("live_searches", active_count);
-    if (active_count <= 1) break;  // A popped-but-unapplied head only held
-                                   // queue state; cores/borders were already
-                                   // recorded when it was claimed.
 
-    // Probe the frozen tree for every popped head at once.
-    batch_centers.assign(batch_ids.size(), nullptr);
-    for (std::size_t j = 0; j < batch_ids.size(); ++j) {
-      batch_centers[j] = &GetRecord(batch_ids[j]).pt;
-    }
-    FanOutProbes(batch_centers, &batch_hits, &metrics_.cluster_parallel_ms);
-
-    // Apply the hit lists to the live state, sequentially in round order.
-    for (std::size_t j = 0;
-         j < batch_ids.size() && active_count > 1; ++j) {
-      const PointId rid = batch_ids[j];
+      const PointId rid = th.queue[th.head++];
       ++metrics_.msbfs_expansions;
-      for (PointId qid : batch_hits[j]) {
-        if (qid == rid) continue;
+      const Point center = GetRecord(rid).pt;
+      SearchMarking(center, tick, [&](PointId qid, const Point&) -> bool {
+        if (qid == rid) return true;  // Own entry: expansion complete.
         auto qit = records_.find(qid);
-        if (qit == records_.end()) continue;
+        if (qit == records_.end()) return true;
         Record& q = qit->second;
-        if (q.deleted) continue;
-        const std::uint32_t mine = find_root(batch_roots[j]);
+        if (q.deleted) return true;
+        const std::uint32_t mine = find_root(root);
         if (IsCoreNow(q)) {
           if (q.visit_serial != serial) {
             q.visit_serial = serial;
@@ -336,7 +298,7 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
             const std::uint32_t other = find_root(q.owner);
             if (other != mine) merge_threads(mine, other);
           }
-          continue;
+          return false;  // Marked when it is expanded itself.
         }
         // Non-core in the current window: remember the adjacency for label
         // maintenance, then prune it from this MS-BFS instance.
@@ -346,7 +308,9 @@ int Disc::MsBfs(const std::vector<PointId>& m_minus, PointId* survivor_rep) {
           q.witness_serial = update_serial_;
           threads[mine].borders.push_back(qid);
         }
-      }
+        return true;
+      });
+      ++idx;
     }
   }
 
@@ -392,21 +356,17 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
     if (ncc == 1) *survivor_rep = start;  // First component keeps its labels.
     const std::uint64_t serial = ++search_serial_;
     const std::uint64_t tick = tree_.NewTick();
-    std::deque<PointId> queue;
-    std::vector<PointId> cores;
+    std::vector<PointId> cores{start};  // BFS queue; cores[head..] unexpanded.
     std::vector<PointId> borders;
     start_rec.visit_serial = serial;
     --members_left;
-    queue.push_back(start);
-    cores.push_back(start);
     bool early_exit = false;
-    while (!queue.empty()) {
+    for (std::size_t head = 0; head < cores.size(); ++head) {
       if (first && members_left == 0) {
         early_exit = true;  // All bonding cores connected: no split.
         break;
       }
-      const PointId rid = queue.front();
-      queue.pop_front();
+      const PointId rid = cores[head];
       ++metrics_.msbfs_expansions;
       const Point center = GetRecord(rid).pt;
       SearchMarking(center, tick, [&](PointId qid, const Point&) -> bool {
@@ -419,7 +379,6 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
           if (q.visit_serial != serial) {
             if (q.visit_serial == member_serial) --members_left;
             q.visit_serial = serial;
-            queue.push_back(qid);
             cores.push_back(qid);
           }
           return false;
@@ -445,165 +404,63 @@ int Disc::SequentialBfs(const std::vector<PointId>& m_minus,
 }
 
 // ---------------------------------------------------------------------------
-// Neo-core phase: speculative discovery, sequential commit
+// Neo-core phase: nascent-reachability closures and merge decisions
 // ---------------------------------------------------------------------------
-//
-// Every neo-core speculatively runs a *read-only* BFS of its
-// nascent-reachable component on the pool (NeoDiscoveryWorker — no record,
-// registry, or tree writes at all), then discoveries are committed on the
-// calling thread in seed order. An atomic CAS-min claim table prunes the
-// speculation: a worker that reaches a neo-core already claimed by a smaller
-// seed aborts, because that seed is exploring the same component and —
-// being smaller — can itself never lose a claim race within it, so it
-// always completes. Claims are purely advisory (relaxed ordering suffices):
-// whatever the timing, each component's minimum seed completes its
-// discovery, commits first among the component's seeds, and stamps the
-// members' group_serial so every duplicate is discarded — which is why the
-// committed output is bit-identical for any lane count, including the
-// inline zero-worker execution.
-//
-// Probe accounting follows determinism: only committed discoveries' counters
-// merge into the tree's shared statistics (keeping range_searches et al.
-// lane-count-deterministic); discarded work is tallied separately under the
-// speculative_* metrics, which are timing-dependent by nature.
 
 void Disc::ProcessNeoCores(const std::vector<PointId>& neo_cores) {
-  if (neo_cores.empty()) return;
-  const std::size_t n = neo_cores.size();
-
-  // Claim-table index of each neo-core: its position in the neo_cores list.
-  std::unordered_map<PointId, std::uint32_t> seed_index;
-  seed_index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    seed_index.emplace(neo_cores[i], static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::atomic<std::uint32_t>> claims(n);
-  for (auto& c : claims) {
-    c.store(std::numeric_limits<std::uint32_t>::max(),
-            std::memory_order_relaxed);
-  }
-  std::vector<NeoDiscovery> discoveries(n);
-
-  Timer timer;
-  {
-    RTree::ConcurrentProbeScope probe_scope(tree_);
-    // chunk = 1: one discovery explores a whole component while its
-    // neighbors abort after a single claim check — the worst per-index skew
-    // in the codebase.
-    ParallelFor(
-        execution_pool(), n,
-        [&](std::size_t, std::size_t i) {
-          NeoDiscoveryWorker(static_cast<std::uint32_t>(i), neo_cores,
-                             seed_index, &claims, &discoveries[i]);
-        },
-        /*chunk=*/1);
-  }
-  metrics_.cluster_parallel_ms += timer.ElapsedMillis();
-  metrics_.neo_discoveries += n;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const NeoDiscovery& d = discoveries[i];
-    if (d.aborted || GetRecord(neo_cores[i]).group_serial == update_serial_) {
-      ++metrics_.neo_discoveries_discarded;
-      metrics_.speculative_searches += d.stats.range_searches;
-      continue;
-    }
-    CommitNeoGroup(d);
+  for (PointId id : neo_cores) {
+    Record& rec = GetRecord(id);
+    if (rec.group_serial == update_serial_) continue;  // Alg. 2, line 13.
+    ProcessNeoGroup(id);
     ++metrics_.num_neo_groups;
   }
 }
 
-void Disc::NeoDiscoveryWorker(
-    std::uint32_t seed_idx, const std::vector<PointId>& neo_cores,
-    const std::unordered_map<PointId, std::uint32_t>& seed_index,
-    std::vector<std::atomic<std::uint32_t>>* claims, NeoDiscovery* out) {
-  obs::TraceSpan span("disc.neo_discovery", obs::TraceLevel::kDetail);
-  span.AddArg("seed", neo_cores[seed_idx]);
+void Disc::ProcessNeoGroup(PointId seed) {
+  const std::uint64_t serial = ++search_serial_;
+  const std::uint64_t tick = tree_.NewTick();
 
-  // CAS-min on the claim slot. Returns false when a smaller seed holds it:
-  // that seed is exploring this component and will complete it.
-  auto try_claim = [&](std::uint32_t j) {
-    std::uint32_t cur = (*claims)[j].load(std::memory_order_relaxed);
-    while (seed_idx < cur) {
-      if ((*claims)[j].compare_exchange_weak(cur, seed_idx,
-                                             std::memory_order_relaxed)) {
+  GetRecord(seed).visit_serial = serial;
+  std::vector<PointId> group{seed};  // BFS queue; group[head..] unexpanded.
+  std::vector<PointId> borders;
+  std::vector<ClusterId> cid_list;  // Distinct clusters M+ spreads over.
+  for (std::size_t head = 0; head < group.size(); ++head) {
+    const PointId rid = group[head];
+    Record& r = GetRecord(rid);
+    r.group_serial = update_serial_;
+    const Point center = r.pt;
+    SearchMarking(center, tick, [&](PointId qid, const Point&) -> bool {
+      if (qid == rid) return true;
+      auto qit = records_.find(qid);
+      if (qit == records_.end()) return true;
+      Record& q = qit->second;
+      if (q.deleted) return true;
+      const bool first_visit = q.visit_serial != serial;
+      q.visit_serial = serial;
+      if (IsNeoCore(q)) {
+        if (first_visit) group.push_back(qid);
+        return false;  // Marked when it is expanded itself.
+      }
+      if (!first_visit) return true;
+      if (IsCoreNow(q)) {
+        // Core in both windows: an M+ member. Only its label matters
+        // (Alg. 2, line 11) — no connectivity check is needed.
+        const ClusterId c = registry_.Find(q.cid);
+        if (std::find(cid_list.begin(), cid_list.end(), c) == cid_list.end()) {
+          cid_list.push_back(c);
+        }
         return true;
       }
-    }
-    return false;
-  };
-
-  if (!try_claim(seed_idx)) {
-    out->aborted = true;
-    span.AddArg("aborted", 1);
-    return;
+      // Non-core neighbor of a neo-core: becomes a border of this group's
+      // cluster. The witness keeps any later recheck consistent with the
+      // group's final label.
+      q.witness = rid;
+      q.witness_serial = update_serial_;
+      borders.push_back(qid);
+      return true;
+    });
   }
 
-  // One first-visit filter per point (each hit is a neo-core, an M+ member,
-  // or a border, never two of these), kept in a local set so no record
-  // field is written from a lane.
-  std::unordered_set<PointId> seen;
-  std::deque<PointId> queue;
-  seen.insert(neo_cores[seed_idx]);
-  queue.push_back(neo_cores[seed_idx]);
-  out->group.push_back(neo_cores[seed_idx]);
-  bool lost = false;
-  while (!queue.empty() && !lost) {
-    const PointId rid = queue.front();
-    queue.pop_front();
-    const Point center = GetRecord(rid).pt;
-    tree_.RangeSearch(
-        center, config_.eps,
-        [&](PointId qid, const Point&) {
-          if (lost || qid == rid) return;
-          auto qit = records_.find(qid);
-          if (qit == records_.end()) return;
-          const Record& q = qit->second;
-          if (q.deleted) return;
-          if (!seen.insert(qid).second) return;  // Already first-visited.
-          if (IsCoreNow(q)) {
-            if (IsNeoCore(q)) {
-              // Every neo-core appears in neo_cores (COLLECT touches any
-              // point whose core status flips), so the lookup cannot miss.
-              if (!try_claim(seed_index.find(qid)->second)) {
-                lost = true;
-                return;
-              }
-              queue.push_back(qid);
-              out->group.push_back(qid);
-              return;
-            }
-            out->raw_cids.push_back(q.cid);  // M+ member; canonicalized at
-            return;                          // commit time.
-          }
-          out->borders.emplace_back(qid, rid);
-        },
-        &out->stats);
-  }
-  if (lost) {
-    out->aborted = true;
-    span.AddArg("aborted", 1);
-    return;
-  }
-  span.AddArg("cores", out->group.size());
-  span.AddArg("borders", out->borders.size());
-}
-
-void Disc::CommitNeoGroup(const NeoDiscovery& d) {
-  // Canonicalize the recorded raw handles in encounter order. The registry
-  // holds exactly the unions of all earlier commits, so the distinct
-  // clusters M+ spreads over are resolved against the state this group's
-  // turn in seed order sees.
-  std::vector<ClusterId> cid_list;
-  for (ClusterId raw : d.raw_cids) {
-    const ClusterId c = registry_.Find(raw);
-    if (std::find(cid_list.begin(), cid_list.end(), c) == cid_list.end()) {
-      cid_list.push_back(c);
-    }
-  }
-
-  // Only M+'s labels decide (Alg. 2, line 11) — no connectivity check is
-  // needed.
   ClusterId g;
   if (cid_list.empty()) {
     g = registry_.NewCluster();  // Emergence.
@@ -624,22 +481,14 @@ void Disc::CommitNeoGroup(const NeoDiscovery& d) {
     }
     events_.push_back(std::move(event));
   }
-  for (PointId mp : d.group) {
+  for (PointId mp : group) {
     Record& rm = GetRecord(mp);
-    rm.group_serial = update_serial_;
     SetLabel(mp, &rm, Category::kCore, g);
   }
-  for (const auto& [bp, wit] : d.borders) {
+  for (PointId bp : borders) {
     Record& rb = GetRecord(bp);
-    // The witness keeps any later recheck of this border consistent with
-    // the group's final label.
-    rb.witness = wit;
-    rb.witness_serial = update_serial_;
-    if (rb.deleted || IsCoreNow(rb)) continue;
     SetLabel(bp, &rb, Category::kBorder, g);
   }
-  // Only committed probe work reaches the shared (deterministic) counters.
-  tree_.stats().MergeFrom(d.stats);
 }
 
 // ---------------------------------------------------------------------------

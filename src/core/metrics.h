@@ -20,18 +20,10 @@ struct DiscMetrics {
   // Disc::ProcessExCores); nonzero only on slides where one cluster split
   // under more than one ex-core group.
   std::uint64_t survivor_reconciliations = 0;
-  // Level-synchronous rounds executed by MS-BFS; with use_msbfs off only
-  // survivor reconciliations run it. Deterministic for any lane count.
+  // Passes MS-BFS made over its rotation of live searches (each gives every
+  // live search one expansion); with use_msbfs off only survivor
+  // reconciliations run it.
   std::uint64_t msbfs_rounds = 0;
-  // Speculative neo-core discoveries launched and the subset whose results
-  // were discarded (aborted by a smaller seed's claim, or completed as a
-  // duplicate of a committed group). The discard count — and the probe work
-  // charged to speculative_searches below — depends on lane timing, so these
-  // three counters are NOT lane-count-deterministic and are deliberately
-  // excluded from every exported/serialized metric surface.
-  std::uint64_t neo_discoveries = 0;
-  std::uint64_t neo_discoveries_discarded = 0;
-  std::uint64_t speculative_searches = 0;
 
   // Index-probe drill-down, aggregated from RTreeStats over the update:
   // how much tree the probes actually walked, and how much Algorithm 4's
@@ -48,12 +40,11 @@ struct DiscMetrics {
   double recheck_ms = 0.0;   // Sec.-V border/noise relabeling.
   // Time inside COLLECT's parallel probe fan-out (contained in collect_ms).
   double collect_parallel_ms = 0.0;
-  // Time inside CLUSTER's parallel regions: MS-BFS probe rounds and the
-  // speculative neo-discovery fan-out (contained in ex_phase_ms /
-  // neo_phase_ms).
+  // Always 0: CLUSTER runs sequentially. Kept so readers of the per-layer
+  // report keep a stable field.
   double cluster_parallel_ms = 0.0;
-  // Lanes the fan-outs ran on: those of the pool in use (a borrowed one
-  // included), or 1 when probes run inline.
+  // Lanes COLLECT's fan-outs ran on: those of the pool in use (a borrowed
+  // one included), or 1 when probes run inline.
   std::uint64_t threads_used = 1;
 
   void Reset() { *this = DiscMetrics{}; }

@@ -105,13 +105,13 @@ class RTree {
   // epochs), any number of threads may call this at once, each with its own
   // accumulator; merge the accumulators into stats() afterwards if the
   // global counts should reflect the probes. This is the *tick-free probe
-  // mode* the parallel CLUSTER stage relies on; hold a ConcurrentProbeScope
+  // mode* the parallel COLLECT fan-out relies on; hold a ConcurrentProbeScope
   // around the fan-out to have the contract machine-checked.
   void RangeSearch(const Point& center, double eps, const Visitor& visit,
                    RTreeStats* stats) const;
 
   // RAII marker of a tick-free concurrent probe region (the parallel
-  // COLLECT/CLUSTER fan-outs). While at least one scope is alive, any number
+  // COLLECT fan-out). While at least one scope is alive, any number
   // of threads may run the stats-accumulating RangeSearch overload; every
   // mutating or epoch-marking call (Insert, Delete, BulkLoad, Clear,
   // EpochRangeSearch, NewTick) asserts in debug builds. The counter is

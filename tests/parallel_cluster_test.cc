@@ -1,9 +1,10 @@
-// Determinism layer for the parallel CLUSTER stage: snapshots, checkpoints,
-// deltas, events, and the deterministic metrics must be byte-identical for
-// every DiscConfig::num_threads value — on every synthetic generator and on
+// Determinism layer across lane counts: snapshots, checkpoints, deltas,
+// events, and the deterministic metrics must be byte-identical for every
+// DiscConfig::num_threads value — on every synthetic generator and on
 // adversarial slides engineered to force multi-starter MS-BFS front meets
-// and neo-core merge storms. num_threads = 1 runs every probe inline, so
-// the sweeps also pin inline against pooled probes.
+// and neo-core merge storms. Only COLLECT fans out (CLUSTER is sequential),
+// and num_threads = 1 runs every probe inline, so the sweeps also pin
+// inline against pooled probes.
 
 #include <cstdint>
 #include <memory>
@@ -25,7 +26,7 @@ namespace {
 // parallel_test.cc's helper this does NOT sort the delta vectors: emission
 // ORDER is part of the determinism contract here. The metrics suffix pins
 // the probe-accounting discipline — only deterministic counters appear
-// (speculative_* and the *_ms timings are timing-dependent by design).
+// (the *_ms timings are timing-dependent by design).
 std::string CanonicalState(const Disc& disc, const UpdateDelta& delta) {
   std::ostringstream os;
   const ClusteringSnapshot snap = disc.Snapshot();  // Emitted id-sorted.

@@ -5,7 +5,7 @@ with its rule id, and every clean twin must pass.
 Fixture naming: tools/lint/fixtures/**/<rule_with_underscores>_violation.cc
 and ..._clean.cc. A rule may have several golden pairs, one per directory
 (e.g. epoch-confinement has the COLLECT-stage pair at the fixtures root,
-the parallel-CLUSTER pair under cluster/, and the engine-scheduler pair
+the CLUSTER pair under cluster/, and the engine-scheduler pair
 under engine/; the v2 rules live under status/, lock/, and iter/). Run
 with --rule <rule-id> to check every pair of one rule (how ctest registers
 it), or with no arguments to check every fixture found.

@@ -35,13 +35,12 @@ precision/recall notes):
                       rtree.*, and NewTick / EpochRangeSearch /
                       SearchMarking must never appear in the parallel
                       stages — the probe fan-out (Collect /
-                      FanOutProbes), the CLUSTER entry points (MsBfs /
-                      ProcessNeoCores / NeoDiscoveryWorker; the
-                      single-threaded baselines' same-named traversals
-                      are exempt), the thread-pool lane entry
+                      FanOutProbes), the thread-pool lane entry
                       points (DrainBatch / WorkerLoop), the engine
                       scheduling stages (Drain / DrainLocked /
                       ExecuteSessionSlide), or any ParallelFor argument.
+                      CLUSTER runs on the calling thread and is
+                      epoch-probed, so its traversals are not stages.
 
   unordered-emit      A range-for over a std::unordered_map/set whose body
                       emits (push_back / emplace_back / WritePod / .write /
@@ -862,21 +861,16 @@ def check_label_choke_point(src, index):
 # Rule: epoch-confinement
 # ---------------------------------------------------------------------------
 
-# The parallel stages: COLLECT fan-out, the parallel CLUSTER entry points
-# (tick-free concurrent probes), the thread-pool lane entry points
+# The parallel stages: COLLECT fan-out (the only intra-session fan-out;
+# CLUSTER is sequential and epoch-probed), the thread-pool lane entry points
 # (everything a worker thread executes), and the engine scheduling stages
 # (Drain/DrainLocked dispatch session slides across lanes;
 # ExecuteSessionSlide is the per-lane slide body — epoch writes belong to
 # the probing layer underneath, never to the scheduler).
 EPOCH_STAGES = {
-    "Collect", "FanOutProbes", "MsBfs", "ProcessNeoCores",
-    "NeoDiscoveryWorker", "DrainBatch", "WorkerLoop", "Drain",
+    "Collect", "FanOutProbes", "DrainBatch", "WorkerLoop", "Drain",
     "DrainLocked", "ExecuteSessionSlide",
 }
-
-# Single-threaded baselines that reuse a stage name for their own
-# epoch-probed traversal (IncDbscan::MsBfs); nothing there runs on a lane.
-EPOCH_SEQUENTIAL_OWNERS = {"IncDbscan"}
 
 EPOCH_CALLS = {"NewTick", "EpochRangeSearch", "SearchMarking"}
 
@@ -896,8 +890,7 @@ def check_epoch_confinement(src, index):
                 src.report(i, "epoch-confinement")
 
     spans = [(d.body_start, d.body_end) for d in src.defs
-             if d.name in EPOCH_STAGES and
-             d.cls not in EPOCH_SEQUENTIAL_OWNERS]
+             if d.name in EPOCH_STAGES]
     for i, t in enumerate(toks):
         if t.kind == "id" and t.text == "ParallelFor" and \
                 i + 1 < len(toks) and toks[i + 1].text == "(":
