@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
     disc::DiscEngine engine(options);
     for (const Tenant& tenant : kTenants) {
       disc::SessionOptions session;
-      session.method = "DISC";
       session.spec.dims = 2;
       session.spec.window_size = kWindow;
       session.spec.stride = kStride;

@@ -174,7 +174,12 @@ Status SocketServer::Start() {
 
 void SocketServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under the queue mutex, so a worker between its wait predicate and
+    // its block cannot miss the notify below (a lost wake-up hangs join).
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   const char wake_byte = 'x';
   // A failed wake write leaves the 1 s poll timeout as the fallback.
   if (wake_write_fd_ >= 0) {

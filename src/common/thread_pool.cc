@@ -54,7 +54,9 @@ void ThreadPool::ParallelFor(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t chunk) {
   if (n == 0) return;
-  if (workers_.empty()) {
+  // A batch of one gains nothing from a dispatch: it runs on the calling
+  // thread as lane 0, like every batch of a pool without workers.
+  if (workers_.empty() || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }

@@ -36,7 +36,8 @@ namespace disc {
 class ThreadPool {
  public:
   // Spawns `workers` threads. Zero workers is valid: ParallelFor then runs
-  // entirely on the calling thread with no synchronization at all.
+  // entirely on the calling thread with no synchronization at all (as it
+  // does for a batch of one on any pool).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 

@@ -108,10 +108,16 @@ Status Disc::LoadCheckpoint(std::istream& in) {
     return Fail("checkpoint load: truncated header");
   }
 
+  // `count` is untrusted until that many records have been read: reserve
+  // at most kMaxUpFrontReserve, so a corrupt count fails as a truncated
+  // record instead of as one huge allocation. Larger windows just grow.
+  constexpr std::uint64_t kMaxUpFrontReserve = 1u << 16;
+  const std::size_t reserve =
+      static_cast<std::size_t>(std::min(count, kMaxUpFrontReserve));
   records_.clear();
-  records_.reserve(count);
+  records_.reserve(reserve);
   std::vector<Point> points;
-  points.reserve(count);
+  points.reserve(reserve);
   for (std::uint64_t i = 0; i < count; ++i) {
     PointId id = 0;
     Record rec;

@@ -40,16 +40,6 @@ Disc::Disc(std::uint32_t dims, const DiscConfig& config)
   }
 }
 
-void Disc::SetExecutionPool(ThreadPool* pool) {
-  external_pool_ = pool;
-  use_external_pool_ = true;
-}
-
-void Disc::ReleaseExecutionPool() {
-  external_pool_ = nullptr;
-  use_external_pool_ = false;
-}
-
 Disc::Record& Disc::GetRecord(PointId id) {
   auto it = records_.find(id);
   assert(it != records_.end());
@@ -89,18 +79,12 @@ void Disc::SetLabel(PointId id, Record* rec, Category category,
 
 void Disc::FanOutProbes(const std::vector<const Point*>& centers,
                         std::vector<std::vector<PointId>>* hits) {
-  // A single probe gains nothing from a dispatch; the candidate lists are
-  // identical inline or pooled.
-  constexpr std::size_t kMinPooledBatch = 2;
   hits->assign(centers.size(), {});
-  ThreadPool* pool =
-      centers.size() >= kMinPooledBatch ? execution_pool() : nullptr;
-  const std::size_t lanes = pool ? pool->lanes() : 1;
-  std::vector<RTreeStats> lane_stats(lanes);
+  std::vector<RTreeStats> lane_stats(pool_ ? pool_->lanes() : 1);
   Timer timer;
   {
     RTree::ConcurrentProbeScope probe_scope(tree_);
-    ParallelFor(pool, centers.size(),
+    ParallelFor(pool_.get(), centers.size(),
                 [&](std::size_t lane, std::size_t i) {
                   if (centers[i] == nullptr) return;
                   std::vector<PointId>& out = (*hits)[i];
@@ -272,10 +256,7 @@ const UpdateDelta& Disc::Update(const std::vector<Point>& incoming,
   ++update_serial_;
   events_.clear();
   metrics_.Reset();
-  // The lanes the probes actually fan out on: a borrowed pool overrides
-  // config_.num_threads, and a null one means inline.
-  const ThreadPool* pool = execution_pool();
-  metrics_.threads_used = pool ? pool->lanes() : 1;
+  metrics_.threads_used = pool_ ? pool_->lanes() : 1;
   recheck_.clear();
   touched_.clear();
   delta_.Clear();

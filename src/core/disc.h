@@ -39,10 +39,11 @@ namespace disc {
 // R-tree (Alg. 4) — can be toggled independently through DiscConfig; the
 // produced clustering is identical either way.
 //
-// Only COLLECT fans its probes out across the thread pool; CLUSTER runs
-// sequentially on the calling thread, epoch-probed (docs/ALGORITHM.md
-// §4.6). Snapshots, checkpoints, deltas, and events are bit-identical for
-// every num_threads value.
+// Only COLLECT fans its probes out, across the pool the Disc owns when
+// config.num_threads > 1; CLUSTER runs sequentially on the calling thread,
+// epoch-probed (docs/ALGORITHM.md §4.6). Snapshots, checkpoints, deltas, and
+// events are bit-identical for every num_threads value, which is why a
+// DiscEngine session can run single-lane and still match a standalone run.
 //
 // The resulting labeling equals what DBSCAN computes from scratch on the
 // window contents (up to cluster-id renaming and the usual DBSCAN tie on
@@ -79,17 +80,6 @@ class Disc : public StreamClusterer {
   // unusable after a failed Load).
   Status SaveCheckpoint(std::ostream& out) const;
   Status LoadCheckpoint(std::istream& in);
-
-  // Replaces the probe-fan-out pool for every subsequent Update: probes run
-  // on `pool` (borrowed; the caller owns it and must not run two clusterers
-  // on it concurrently), or inline on the calling thread when `pool` is
-  // null. ReleaseExecutionPool() returns to the config-owned pool. Because
-  // results are byte-identical for every lane count, switching pools never
-  // changes any output — this is how DiscEngine multiplexes many sessions
-  // over one shared pool (a lone runnable session borrows every lane;
-  // concurrently scheduled sessions run single-lane internally).
-  void SetExecutionPool(ThreadPool* pool);
-  void ReleaseExecutionPool();
 
   // Cluster-evolution events observed during the most recent Update.
   const std::vector<ClusterEvent>& last_events() const { return events_; }
@@ -243,13 +233,6 @@ class Disc : public StreamClusterer {
 
   Record& GetRecord(PointId id);
 
-  // The pool the parallel stages fan out on: the external pool when one is
-  // installed (even if null — that means "run inline"), else the internal
-  // config-owned pool.
-  ThreadPool* execution_pool() const {
-    return use_external_pool_ ? external_pool_ : pool_.get();
-  }
-
   DiscConfig config_;
   RTree tree_;
   std::unordered_map<PointId, Record> records_;
@@ -264,9 +247,6 @@ class Disc : public StreamClusterer {
   // resolves to 1 (the sequential path then runs without any
   // synchronization).
   std::unique_ptr<ThreadPool> pool_;
-  // SetExecutionPool state; see execution_pool().
-  ThreadPool* external_pool_ = nullptr;
-  bool use_external_pool_ = false;
 
   std::vector<ClusterEvent> events_;
   DiscMetrics metrics_;

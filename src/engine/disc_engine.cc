@@ -19,11 +19,19 @@ namespace disc {
 namespace {
 
 // Spill-file framing. Same-machine byte order, like Disc's own checkpoint.
-constexpr std::uint32_t kSessionMagic = 0x454E4753;  // "SGNE" little-endian.
-// The previous layout, whose config block carried two more fields (a
-// CLUSTER-mode byte and a probe-batch u32). Recognized only to refuse it
-// by name instead of misreading those bytes as checkpoint data.
-constexpr std::uint32_t kSessionMagicV1 = 0x444E4753;  // "SGND".
+constexpr std::uint32_t kSessionMagic = 0x464E4753;  // "SGNF" little-endian.
+
+// The name of a superseded spill layout, or null. Recognized only to refuse
+// such a spill by name instead of misreading its bytes as checkpoint data:
+// "SGND" carried two more config fields (a CLUSTER-mode byte and a
+// probe-batch u32), "SGNE" the clusterer's name string after the session name.
+const char* SupersededLayout(std::uint32_t magic) {
+  switch (magic) {
+    case 0x444E4753: return "SGND";
+    case 0x454E4753: return "SGNE";
+    default: return nullptr;
+  }
+}
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -78,24 +86,6 @@ std::string SessionPath(const std::string& dir, const std::string& name) {
 
 constexpr char kManifestHeader[] = "DISCENGINE 1";
 
-// Installs a borrowed pool on a Disc for one slide; the destructor releases
-// it even when the slide throws, so the shared pool never stays attached to
-// a session across rounds.
-class ScopedExecutionPool {
- public:
-  ScopedExecutionPool(Disc* disc, ThreadPool* pool) : disc_(disc) {
-    if (disc_ != nullptr) disc_->SetExecutionPool(pool);
-  }
-  ~ScopedExecutionPool() {
-    if (disc_ != nullptr) disc_->ReleaseExecutionPool();
-  }
-  ScopedExecutionPool(const ScopedExecutionPool&) = delete;
-  ScopedExecutionPool& operator=(const ScopedExecutionPool&) = delete;
-
- private:
-  Disc* disc_;
-};
-
 }  // namespace
 
 LabeledPoint DiscEngine::QueueSource::Next() {
@@ -137,7 +127,7 @@ Status DiscEngine::CreateSession(const std::string& name,
   if (Find(name) != nullptr) {
     return Status::Error("session \"" + name + "\" already exists");
   }
-  const ClustererSpec& spec = options.spec;
+  const SessionOptions::Spec& spec = options.spec;
   if (spec.stride < 1 || spec.window_size < spec.stride) {
     std::ostringstream os;
     os << "session \"" << name << "\": window geometry needs 1 <= stride <= "
@@ -145,31 +135,28 @@ Status DiscEngine::CreateSession(const std::string& name,
        << " stride=" << spec.stride;
     return Status::Error(os.str());
   }
-  // The engine owns execution: sessions never spin up an internal pool
-  // (they run single-lane on their scheduled lane, or borrow the shared
-  // pool when alone) — results are identical either way.
-  SessionOptions adopted = options;
-  adopted.spec.disc.num_threads = 1;
-  Status error;
-  std::unique_ptr<StreamClusterer> clusterer =
-      MakeClusterer(adopted.method, adopted.spec, &error);
-  if (clusterer == nullptr) {
+  if (Status valid = spec.disc.Validate(); !valid.ok()) {
     DISC_LOG(kWarn, "engine.create_session_rejected")
         .Str("session", name)
-        .Str("error", error.message());
-    return Status::Error("session \"" + name + "\": " + error.message());
+        .Str("error", valid.message());
+    return Status::Error("session \"" + name + "\": " + valid.message());
   }
+  // The engine owns execution: a session never spins up an internal pool;
+  // it runs single-lane on whichever lane the scheduler gives it.
+  SessionOptions adopted = options;
+  adopted.spec.disc.num_threads = 1;
+  auto clusterer =
+      std::make_unique<Disc>(adopted.spec.dims, adopted.spec.disc);
   Admit(name, std::move(adopted), std::move(clusterer), {}, 0);
   DISC_LOG(kInfo, "engine.session_created")
       .Str("session", name)
-      .Str("method", options.method)
       .Num("window_size", options.spec.window_size)
       .Num("stride", options.spec.stride);
   return Status::Ok();
 }
 
 void DiscEngine::Admit(const std::string& name, SessionOptions options,
-                       std::unique_ptr<StreamClusterer> clusterer,
+                       std::unique_ptr<Disc> clusterer,
                        std::vector<Point> seed_window,
                        std::size_t slides_already_run) {
   auto session = std::make_unique<Session>();
@@ -177,7 +164,7 @@ void DiscEngine::Admit(const std::string& name, SessionOptions options,
   session->id = next_session_id_++;
   session->options = std::move(options);
   session->clusterer = std::move(clusterer);
-  const ClustererSpec& spec = session->options.spec;
+  const SessionOptions::Spec& spec = session->options.spec;
   // Session is heap-allocated, so the pipeline's borrowed source/clusterer
   // pointers stay valid for the session's lifetime.
   if (seed_window.empty() && slides_already_run == 0) {
@@ -375,47 +362,32 @@ std::size_t DiscEngine::DrainLocked() {
     if (ready.empty()) break;
     rr_cursor_ = (rr_cursor_ + 1) % n;
 
+    // One slide per ready session, one session per pool lane; a lone
+    // session runs on this thread (ParallelFor runs one-item batches
+    // inline). Each session's Disc is single-lane (num_threads=1), so lanes
+    // never share any clusterer state; the lambda writes only to its own
+    // session. chunk=1: slides are coarse, uneven tasks.
     bool dispatch_fault = false;
-    if (ready.size() == 1) {
-      // A lone runnable session borrows every lane of the shared pool for
-      // its internal fan-out; output is identical either way (core/disc.h).
-      Session* s = ready.front();
-      try {
-        DISC_FAILPOINT("engine.drain.borrow");
-        Disc* exact = s->clusterer->name() == "DISC"
-                          ? static_cast<Disc*>(s->clusterer.get())
-                          : nullptr;
-        ScopedExecutionPool borrow(exact, pool_.get());
-        ExecuteSessionSlide(s);
-      } catch (const std::exception& e) {
-        // The slide threw (bug or injected fault): quarantine the session
-        // for this drain, keep its queue intact, keep the engine alive.
-        MarkSlideFault(s, e.what());
-      }
-    } else {
-      // One slide per ready session, one session per pool lane. Each
-      // session updates single-lane internally (its config carries
-      // num_threads=1 and no external pool is installed), so lanes never
-      // share any clusterer state; the lambda writes only to its own
-      // session. chunk=1: slides are coarse, uneven tasks.
-      try {
-        ParallelFor(
-            pool_.get(), ready.size(),
-            [&ready, this](std::size_t, std::size_t i) {
-              try {
-                ExecuteSessionSlide(ready[i]);
-              } catch (const std::exception& e) {
-                MarkSlideFault(ready[i], e.what());
-              }
-            },
-            1);
-      } catch (const std::exception& e) {
-        // The dispatch machinery itself threw (session bodies are contained
-        // above). Slides that never started are still pending; finish the
-        // round's bookkeeping, then stop — the next Drain retries.
-        DISC_LOG(kError, "engine.drain_failed").Str("error", e.what());
-        dispatch_fault = true;
-      }
+    try {
+      ParallelFor(
+          pool_.get(), ready.size(),
+          [&ready, this](std::size_t, std::size_t i) {
+            try {
+              ExecuteSessionSlide(ready[i]);
+            } catch (const std::exception& e) {
+              // The slide threw (bug or injected fault): quarantine the
+              // session for this drain, keep its queue intact, keep the
+              // engine alive.
+              MarkSlideFault(ready[i], e.what());
+            }
+          },
+          1);
+    } catch (const std::exception& e) {
+      // The dispatch machinery itself threw (session bodies are contained
+      // above). Slides that never started are still pending; finish the
+      // round's bookkeeping, then stop — the next Drain retries.
+      DISC_LOG(kError, "engine.drain_failed").Str("error", e.what());
+      dispatch_fault = true;
     }
 
     // Fold telemetry on the scheduler thread (the registry is not
@@ -455,8 +427,7 @@ Status DiscEngine::SaveSession(const Session& session,
                                std::ostream& out) const {
   WritePod(out, kSessionMagic);
   WriteString(out, session.name);
-  WriteString(out, session.options.method);
-  const ClustererSpec& spec = session.options.spec;
+  const SessionOptions::Spec& spec = session.options.spec;
   WritePod(out, spec.dims);
   WritePod(out, static_cast<std::uint64_t>(spec.window_size));
   WritePod(out, static_cast<std::uint64_t>(spec.stride));
@@ -473,8 +444,7 @@ Status DiscEngine::SaveSession(const Session& session,
     return Status::Error("session \"" + session.name +
                          "\": write failed on the spill header");
   }
-  return static_cast<const Disc*>(session.clusterer.get())
-      ->SaveCheckpoint(out);
+  return session.clusterer->SaveCheckpoint(out);
 }
 
 Status DiscEngine::Checkpoint() {
@@ -482,16 +452,6 @@ Status DiscEngine::Checkpoint() {
   if (options_.spill_dir.empty()) {
     return Status::Error(
         "checkpointing disabled: EngineOptions::spill_dir is unset");
-  }
-  // All-or-nothing: refuse before writing any bytes when a session cannot
-  // be persisted, so a partial generation never shadows the previous one.
-  for (const auto& session : sessions_) {
-    if (session->clusterer->name() != "DISC") {
-      return Status::Error("session \"" + session->name + "\" uses method " +
-                           session->clusterer->name() +
-                           ", which has no checkpoint support; only DISC "
-                           "sessions are checkpointable");
-    }
   }
   // No queued slide may be lost to the checkpoint boundary. The drain runs
   // inside this critical section (the mutex is not recursive, hence the
@@ -628,21 +588,20 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     std::ifstream in(path, std::ios::binary);
     if (!in) return fail("cannot open " + path);
     std::uint32_t magic = 0;
-    std::string stored_name, method;
-    if (ReadPod(in, &magic) && magic == kSessionMagicV1) {
-      return fail("session spill " + path +
-                  " has the superseded \"SGND\" layout, whose config block "
-                  "this build no longer reads; re-create the session and "
-                  "checkpoint it again");
+    std::string stored_name;
+    if (!ReadPod(in, &magic)) return fail("corrupt session header in " + path);
+    if (const char* layout = SupersededLayout(magic)) {
+      return fail("session spill " + path + " has the superseded \"" +
+                  layout +
+                  "\" layout, which this build no longer reads; re-create "
+                  "the session and checkpoint it again");
     }
-    if (!in || magic != kSessionMagic ||
-        !ReadString(in, &stored_name) || stored_name != name ||
-        !ReadString(in, &method)) {
+    if (magic != kSessionMagic || !ReadString(in, &stored_name) ||
+        stored_name != name) {
       return fail("corrupt session header in " + path);
     }
     SessionOptions so;
-    so.method = method;
-    ClustererSpec& spec = so.spec;
+    SessionOptions::Spec& spec = so.spec;
     std::uint64_t window_size = 0, stride = 0, slides_run = 0;
     std::uint8_t use_msbfs = 0, use_epoch = 0, use_witness = 0;
     std::uint8_t split_policy = 0;
@@ -666,7 +625,7 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
                   std::to_string(spec.window_size) +
                   " stride=" + std::to_string(spec.stride));
     }
-    // MakeClusterer validates the DiscConfig but not the index geometry; a
+    // Validate() checks the DiscConfig but not the index geometry; a
     // bit-flipped dims or split-policy byte must fail here, not deep inside
     // the R-tree (or as an out-of-range enum cast).
     if (spec.dims < 1 || spec.dims > kMaxDims) {
@@ -685,26 +644,18 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     spec.disc.rtree_max_entries = max_entries;
     spec.disc.rtree_split_policy = static_cast<SplitPolicy>(split_policy);
     spec.disc.num_threads = 1;
-
-    Status make_error;
-    std::unique_ptr<StreamClusterer> clusterer =
-        MakeClusterer(so.method, spec, &make_error);
-    if (clusterer == nullptr) {
-      return fail("session \"" + name + "\": " + make_error.message());
+    if (Status valid = spec.disc.Validate(); !valid.ok()) {
+      return fail("session \"" + name + "\": " + valid.message());
     }
-    if (clusterer->name() != "DISC") {
-      return fail("session \"" + name + "\" was spilled with method " +
-                  method + ", which has no checkpoint support");
-    }
-    Disc* exact = static_cast<Disc*>(clusterer.get());
-    if (Status loaded = exact->LoadCheckpoint(in); !loaded.ok()) {
+    auto clusterer = std::make_unique<Disc>(spec.dims, spec.disc);
+    if (Status loaded = clusterer->LoadCheckpoint(in); !loaded.ok()) {
       return fail("session \"" + name + "\": " + loaded.message());
     }
     // The checkpoint's point count and the header's geometry are stored
     // independently, so a corrupt header can claim a window smaller than
     // the restored contents; that must fail here, not as the window
     // seeding assert.
-    std::vector<Point> restored = exact->WindowContents();
+    std::vector<Point> restored = clusterer->WindowContents();
     if (restored.size() > spec.window_size) {
       return fail("session \"" + name + "\": checkpoint holds " +
                   std::to_string(restored.size()) +
@@ -725,9 +676,9 @@ std::vector<std::string> DiscEngine::SessionNames() const {
   return names;
 }
 
-StreamClusterer* DiscEngine::Clusterer(const std::string& name) {
+const Disc* DiscEngine::Clusterer(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Session* session = Find(name);
+  const Session* session = Find(name);
   return session == nullptr ? nullptr : session->clusterer.get();
 }
 
@@ -756,7 +707,6 @@ std::vector<obs::SessionStatusRow> DiscEngine::SessionStatus() const {
     obs::SessionStatusRow row;
     row.name = s->name;
     row.id = s->id;
-    row.method = s->options.method;
     row.window_size = s->last_report.window_size;
     row.slides_run = s->pipeline->slides_run();
     row.queue_depth = s->pending_slides;

@@ -1,18 +1,16 @@
 #ifndef DISC_ENGINE_DISC_ENGINE_H_
 #define DISC_ENGINE_DISC_ENGINE_H_
 
-// DiscEngine: many concurrent clustering sessions multiplexed over one
-// shared thread pool, with checkpointed recovery (docs/API.md §Engine).
+// DiscEngine: many concurrent DISC sessions multiplexed over one shared
+// thread pool, with checkpointed recovery (docs/API.md §Engine).
 //
-// A *session* is a named (clusterer, window, slide queue) triple. Hosts
-// feed raw point strides with FeedSlide and call Drain() to advance every
-// session that has work; the engine schedules ready sessions round-robin
-// onto the pool's lanes. Scheduling never changes results: when several
-// sessions run concurrently each update runs single-lane internally, and a
-// lone runnable session borrows the whole pool — DISC's output is
-// bit-identical for every lane count (see core/disc.h), so per-session
-// snapshots, deltas, and checkpoints are byte-identical to a standalone
-// single-threaded run of the same stream.
+// A *session* is a named (Disc, window, slide queue) triple. Hosts feed raw
+// point strides with FeedSlide and call Drain() to advance every session
+// that has work; the engine schedules ready sessions round-robin onto the
+// pool's lanes, one session per lane. Every session's Disc runs single-lane,
+// so scheduling never changes results: per-session snapshots, deltas, and
+// checkpoints are byte-identical to a standalone single-threaded run of the
+// same stream.
 //
 // Checkpoint() persists every session into the engine's spill directory
 // (drained first, so no queued slide is lost); DiscEngine::Open() restores
@@ -42,11 +40,11 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "core/config.h"
+#include "core/disc.h"
 #include "core/pipeline.h"
 #include "obs/http_server.h"
 #include "obs/metrics_registry.h"
-#include "stream/clusterer_factory.h"
-#include "stream/stream_clusterer.h"
 #include "stream/stream_source.h"
 
 namespace disc {
@@ -66,15 +64,18 @@ struct EngineOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+// What CreateSession needs to build a session: its Disc and its window.
 struct SessionOptions {
-  // MakeClusterer key ("DISC", "DBSTREAM", ...). Only "DISC" sessions are
-  // checkpointable; any method can be hosted.
-  std::string method = "DISC";
-
-  // Dims, window geometry (window_size/stride, both required), thresholds,
-  // and baseline options. The engine owns execution: spec.disc.num_threads
-  // is forced to 1 and the shared pool is injected per-slide instead.
-  ClustererSpec spec;
+  struct Spec {
+    std::uint32_t dims = 2;
+    // Window geometry of the count-based window; both required.
+    std::size_t window_size = 0;
+    std::size_t stride = 0;
+    // The session's DISC configuration. The engine owns execution:
+    // disc.num_threads is forced to 1.
+    DiscConfig disc;
+  };
+  Spec spec;
 };
 
 class DiscEngine : public obs::EngineStatusProvider {
@@ -88,8 +89,8 @@ class DiscEngine : public obs::EngineStatusProvider {
   // Admits a new session. Fails (without side effects) when the name is
   // empty, not Prometheus-compatible ([a-zA-Z_][a-zA-Z0-9_]*), or taken;
   // when the window geometry is degenerate (stride < 1 or window_size <
-  // stride); or when MakeClusterer rejects the method/spec — the returned
-  // Status carries the factory's (or Validate()'s) message.
+  // stride); or when DiscConfig::Validate() rejects spec.disc — the
+  // returned Status carries its message.
   Status CreateSession(const std::string& name, const SessionOptions& options)
       EXCLUDES(mutex_);
 
@@ -117,8 +118,7 @@ class DiscEngine : public obs::EngineStatusProvider {
   // Runs every queued slide of every session to completion and returns the
   // number of slides executed. Scheduling is round-robin over the sessions
   // with work: each round picks the ready set, runs one slide per session
-  // across the pool's lanes (or hands the whole pool to a lone session),
-  // then folds telemetry before the next round.
+  // across the pool's lanes, then folds telemetry before the next round.
   //
   // A slide that throws — a genuine bug or an injected fault
   // (common/failpoint.h) — never takes the engine down: the failure is
@@ -131,10 +131,10 @@ class DiscEngine : public obs::EngineStatusProvider {
   Status CloseSession(const std::string& name) EXCLUDES(mutex_);
 
   // Drains, then persists every session to spill_dir (one binary file per
-  // session plus a manifest). Fails when spill_dir is unset, a session's
-  // method is not checkpointable (the message names the offender), or on
-  // the first I/O error. The new generation is staged as .tmp files and
-  // renamed into place only after every write succeeds, manifest last: a
+  // session plus a manifest). Fails when spill_dir is unset, when a faulted
+  // slide is still queued after the drain, or on the first I/O error. The
+  // new generation is staged as .tmp files and renamed into place only
+  // after every write succeeds, manifest last: a
   // crash (or failure return) at any point leaves the previous manifest
   // live, with each session file it references a complete spill of its old
   // or new generation — Open() always recovers every listed session.
@@ -150,10 +150,9 @@ class DiscEngine : public obs::EngineStatusProvider {
   // Session names in creation (manifest) order.
   std::vector<std::string> SessionNames() const EXCLUDES(mutex_);
 
-  // The named session's clusterer, or null when unknown. Snapshot() and
-  // checkpointing through this pointer are fine; do not Update() through
-  // it — feed the engine instead.
-  StreamClusterer* Clusterer(const std::string& name) EXCLUDES(mutex_);
+  // The named session's Disc, or null when unknown. Reading through the
+  // pointer is safe while no Drain runs; feed the engine to update it.
+  const Disc* Clusterer(const std::string& name) const EXCLUDES(mutex_);
 
   // Stores the named session's current labeling into *out. Unlike going
   // through Clusterer()->Snapshot(), the read holds the engine mutex, so
@@ -215,7 +214,7 @@ class DiscEngine : public obs::EngineStatusProvider {
     std::uint64_t id = 0;  // Creation order; the trace-span session arg.
     SessionOptions options;
     QueueSource source;
-    std::unique_ptr<StreamClusterer> clusterer;
+    std::unique_ptr<Disc> clusterer;
     std::unique_ptr<StreamingPipeline> pipeline;
     std::size_t pending_slides = 0;
     // Scratch of the current Drain round, written only by the lane running
@@ -241,10 +240,10 @@ class DiscEngine : public obs::EngineStatusProvider {
       REQUIRES(mutex_);
 
   // Builds the session object (no validation; CreateSession and Open have
-  // already vetted the options and built the clusterer). The seed window
-  // and slide counter carry restored state when resuming.
+  // already vetted the options and built the Disc). The seed window and
+  // slide counter carry restored state when resuming.
   void Admit(const std::string& name, SessionOptions options,
-             std::unique_ptr<StreamClusterer> clusterer,
+             std::unique_ptr<Disc> clusterer,
              std::vector<Point> seed_window, std::size_t slides_already_run)
       REQUIRES(mutex_);
 
@@ -253,8 +252,8 @@ class DiscEngine : public obs::EngineStatusProvider {
   std::size_t DrainLocked() REQUIRES(mutex_);
 
   // Runs exactly one queued slide of `session` on the calling thread (a
-  // pool lane during concurrent rounds, the scheduler thread when the
-  // session has the pool to itself). Emits the "engine.session" span.
+  // pool lane, or the scheduler thread when the session runs alone). Emits
+  // the "engine.session" span.
   void ExecuteSessionSlide(Session* session);
 
   void FoldSessionMetrics(Session* session);

@@ -239,7 +239,6 @@ MessageType IngestServer::Dispatch(MessageType type,
         return MessageType::kError;
       }
       SessionOptions session;
-      session.method = request.method;
       session.spec.dims = request.dims;
       session.spec.window_size = request.window_size;
       session.spec.stride = request.stride;
@@ -251,9 +250,7 @@ MessageType IngestServer::Dispatch(MessageType type,
         *response_payload = created.message();
         return MessageType::kError;
       }
-      DISC_LOG(kInfo, "net.session_created")
-          .Str("session", request.name)
-          .Str("method", request.method);
+      DISC_LOG(kInfo, "net.session_created").Str("session", request.name);
       return MessageType::kOk;
     }
 

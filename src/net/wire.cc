@@ -197,7 +197,6 @@ std::string WireReader::Str() {
 std::string EncodeCreateSession(const CreateSessionRequest& request) {
   WireWriter w;
   w.Str(request.name);
-  w.Str(request.method);
   w.U32(request.dims);
   w.U64(request.window_size);
   w.U64(request.stride);
@@ -210,7 +209,6 @@ Status DecodeCreateSession(std::string_view payload,
                            CreateSessionRequest* out) {
   WireReader r(payload);
   out->name = r.Str();
-  out->method = r.Str();
   out->dims = r.U32();
   out->window_size = r.U64();
   out->stride = r.U64();

@@ -146,12 +146,11 @@ class WireReader {
 // Messages
 // ---------------------------------------------------------------------------
 
-// kCreateSession: the remotable subset of SessionOptions — method key,
-// dims, window geometry, and the DISC thresholds. Everything else keeps
-// its DiscConfig default, matching what in-process hosts typically set.
+// kCreateSession: the remotable subset of SessionOptions — dims, window
+// geometry, and the DISC thresholds. Everything else keeps its DiscConfig
+// default, matching what in-process hosts typically set.
 struct CreateSessionRequest {
   std::string name;
-  std::string method = "DISC";
   std::uint32_t dims = 2;
   std::uint64_t window_size = 0;
   std::uint64_t stride = 0;

@@ -261,9 +261,7 @@ HttpResponse HttpServer::Impl::Route(std::string_view target) const {
         response.Write(JsonEscape(row.name));
         response.Write("\",\"id\":");
         response.Write(std::to_string(row.id));
-        response.Write(",\"method\":\"");
-        response.Write(JsonEscape(row.method));
-        response.Write("\",\"window_size\":");
+        response.Write(",\"window_size\":");
         response.Write(std::to_string(row.window_size));
         response.Write(",\"slides_run\":");
         response.Write(std::to_string(row.slides_run));

@@ -53,7 +53,6 @@ namespace obs {
 struct SessionStatusRow {
   std::string name;
   std::uint64_t id = 0;
-  std::string method;
   std::size_t window_size = 0;      // Points currently in the window.
   std::size_t slides_run = 0;       // Slides executed since creation.
   std::size_t queue_depth = 0;      // Slides fed but not yet drained.

@@ -84,7 +84,6 @@ DiscConfig TestConfig() {
 
 SessionOptions TestSession() {
   SessionOptions options;
-  options.method = "DISC";
   options.spec.dims = 2;
   options.spec.window_size = kWindow;
   options.spec.stride = kStride;
@@ -212,7 +211,6 @@ StormResult RunStorm(std::uint64_t seed, const std::string& dir_leaf,
       Rule("checkpoint.write.pre_rename", FailAction::kStatus, 0.20));
   plan.rules.push_back(
       Rule("engine.checkpoint.manifest", FailAction::kShortWrite, 0.25));
-  plan.rules.push_back(Rule("engine.drain.borrow", FailAction::kThrow, 0.05));
 
   StormResult result;
   {
@@ -274,10 +272,10 @@ StormResult RunStorm(std::uint64_t seed, const std::string& dir_leaf,
         }
       }
     }
-    // Lone-drain episode: with a single runnable session the scheduler
-    // takes the whole-pool borrow path, so "engine.drain.borrow" is
-    // exercised on every seed — not only when the storm happens to
-    // quarantine all sessions but one.
+    // Lone-drain episode: a single runnable session runs its slides on the
+    // scheduler thread (a one-item batch never reaches the pool), so that
+    // path meets the storm on every seed — not only when the storm happens
+    // to quarantine all sessions but one.
     {
       Status fed = engine.FeedSlide(names[0], streams[0][kTotal]);
       while (!fed.ok()) {
@@ -342,9 +340,9 @@ TEST(ChaosStormTest, FaultStormPreservesEveryInvariant) {
           DiscEngine::Open(open_options, &error);
       ASSERT_NE(recovered, nullptr) << error.message();
       for (const std::string& name : recovered->SessionNames()) {
-        StreamClusterer* clusterer = recovered->Clusterer(name);
+        const Disc* clusterer = recovered->Clusterer(name);
         ASSERT_NE(clusterer, nullptr);
-        const Disc& disc = static_cast<const Disc&>(*clusterer);
+        const Disc& disc = *clusterer;
         const std::size_t slides = recovered->SlidesRun(name);
         ASSERT_GT(slides, 0u);
         // Uninterrupted reference over the same prefix of the same stream.
@@ -380,7 +378,7 @@ TEST(ChaosStormTest, StormIsDeterministicPerSeed) {
   const char* kSites[] = {
       "engine.session.slide",       "engine.feed.pre",
       "checkpoint.save.record",     "checkpoint.write.pre_rename",
-      "engine.checkpoint.manifest", "engine.drain.borrow"};
+      "engine.checkpoint.manifest"};
   StormResult a, b;
   {
     ScopedSink scoped(&sink_a);
@@ -478,8 +476,7 @@ TEST(ChaosStormTest, TornCheckpointNeverShadowsThePreviousGeneration) {
     WindowDelta delta = window.Advance(slide);
     reference.Update(delta.incoming, delta.outgoing);
   }
-  const Disc& disc =
-      static_cast<const Disc&>(*recovered->Clusterer("victim"));
+  const Disc& disc = *recovered->Clusterer("victim");
   const EquivalenceResult eq =
       CheckSameClustering(disc.Snapshot(), reference.Snapshot(),
                           disc.WindowContents(), TestConfig().eps);
@@ -808,7 +805,7 @@ TEST(CorruptionMatrixTest, HeaderBitFlips) {
   const std::string dir = BuildGoodSpill("flip");
   const std::string session_path = dir + "/fuzzed.session";
   const std::string pristine = ReadFileBytes(session_path);
-  // The header region: magic, name, method, dims, geometry, config — flip
+  // The header region: magic, name, dims, geometry, config — flip
   // every bit of the first 96 bytes, one at a time.
   const std::size_t header_bytes = std::min<std::size_t>(96, pristine.size());
   for (std::size_t byte = 0; byte < header_bytes; ++byte) {
@@ -828,19 +825,28 @@ TEST(CorruptionMatrixTest, HeaderBitFlips) {
 TEST(CorruptionMatrixTest, SupersededMagicIsRefusedByName) {
   const std::string dir = BuildGoodSpill("old_magic");
   const std::string session_path = dir + "/fuzzed.session";
-  // The superseded "SGND" layout carried two more config fields, so its
-  // bytes after the header must never be parsed as a checkpoint.
-  std::string bytes = ReadFileBytes(session_path);
-  const std::uint32_t old_magic = 0x444E4753;
-  bytes.replace(0, sizeof(old_magic),
-                reinterpret_cast<const char*>(&old_magic), sizeof(old_magic));
-  WriteFileBytes(session_path, bytes);
-  EngineOptions options;
-  options.spill_dir = dir;
-  Status error;
-  EXPECT_EQ(DiscEngine::Open(options, &error), nullptr);
-  EXPECT_NE(error.message().find("SGND"), std::string::npos)
-      << error.message();
+  const std::string pristine = ReadFileBytes(session_path);
+  // The superseded layouts differ after the magic — "SGND" carried two
+  // more config fields, "SGNE" a clusterer name string — so their bytes
+  // after the header must never be parsed as a checkpoint.
+  const struct {
+    std::uint32_t magic;
+    const char* name;
+  } kSuperseded[] = {{0x444E4753, "SGND"}, {0x454E4753, "SGNE"}};
+  for (const auto& old : kSuperseded) {
+    SCOPED_TRACE(old.name);
+    std::string bytes = pristine;
+    bytes.replace(0, sizeof(old.magic),
+                  reinterpret_cast<const char*>(&old.magic),
+                  sizeof(old.magic));
+    WriteFileBytes(session_path, bytes);
+    EngineOptions options;
+    options.spill_dir = dir;
+    Status error;
+    EXPECT_EQ(DiscEngine::Open(options, &error), nullptr);
+    EXPECT_NE(error.message().find(old.name), std::string::npos)
+        << error.message();
+  }
   std::filesystem::remove_all(dir);
 }
 

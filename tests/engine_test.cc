@@ -2,10 +2,9 @@
 // standalone runs of the same streams regardless of how many sessions share
 // the pool, checkpointed sessions must resume exactly where they left off
 // (kill/recover equals uninterrupted), admission must reject bad sessions
-// with descriptive Statuses, and the clusterer factory must cover every
-// method key.
+// with descriptive Statuses, and the clusterer factory (which the figure
+// benchmarks build their methods through) must cover every method key.
 
-#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -69,10 +68,9 @@ std::string CanonicalDiscState(const Disc& disc) {
 }
 
 const Disc& EngineDisc(DiscEngine& engine, const std::string& name) {
-  StreamClusterer* clusterer = engine.Clusterer(name);
-  EXPECT_NE(clusterer, nullptr);
-  EXPECT_EQ(clusterer->name(), "DISC");
-  return static_cast<const Disc&>(*clusterer);
+  const Disc* disc = engine.Clusterer(name);
+  EXPECT_NE(disc, nullptr);
+  return *disc;
 }
 
 DiscConfig TestConfig() {
@@ -84,7 +82,6 @@ DiscConfig TestConfig() {
 
 SessionOptions TestSession(std::uint64_t /*seed*/ = 0) {
   SessionOptions options;
-  options.method = "DISC";
   options.spec.dims = 2;
   options.spec.window_size = kWindow;
   options.spec.stride = kStride;
@@ -202,7 +199,7 @@ TEST(EngineDeterminismTest, EightSessionsOnFourLanesMatchStandalone) {
     }
   }
 
-  // One session alone: the borrow-the-whole-pool path. Still identical.
+  // One session alone: it runs on the scheduler thread. Still identical.
   std::vector<std::vector<Point>> extra = MakeSlides(999, 3);
   std::vector<std::vector<Point>> full(streams[0]);
   full.insert(full.end(), extra.begin(), extra.end());
@@ -447,19 +444,9 @@ TEST(EngineRecoveryTest, CheckpointStatusErrors) {
 
   EngineOptions options;
   options.num_threads = 1;
-  options.spill_dir = SpillDir("mixed");
+  options.spill_dir = SpillDir("status");
   DiscEngine engine(options);
   ASSERT_TRUE(engine.CreateSession("exact", TestSession()).ok());
-  SessionOptions summarized = TestSession();
-  summarized.method = "DBSTREAM";
-  ASSERT_TRUE(engine.CreateSession("summarized", summarized).ok());
-  const Status mixed = engine.Checkpoint();
-  EXPECT_FALSE(mixed.ok());
-  // The offender is named; nothing was written.
-  EXPECT_NE(mixed.message().find("summarized"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(options.spill_dir));
-
-  ASSERT_TRUE(engine.CloseSession("summarized").ok());
   ASSERT_TRUE(engine.Checkpoint().ok());
   EXPECT_TRUE(std::filesystem::exists(options.spill_dir + "/engine.manifest"));
   std::filesystem::remove_all(options.spill_dir);
@@ -511,12 +498,11 @@ TEST(EngineRecoveryTest, OpenRejectsDegenerateGeometry) {
     ASSERT_TRUE(engine.Checkpoint().ok());
   }
   // Zero the spilled stride in place. Field offset per the spill framing:
-  // magic u32, (u64 length + bytes) for name and method, dims u32,
-  // window_size u64, then stride u64.
-  const std::string name = "geom", method = "DISC";
+  // magic u32, (u64 length + bytes) for the name, dims u32, window_size
+  // u64, then stride u64.
+  const std::string name = "geom";
   const std::streamoff stride_offset =
-      4 + (8 + static_cast<std::streamoff>(name.size())) +
-      (8 + static_cast<std::streamoff>(method.size())) + 4 + 8;
+      4 + (8 + static_cast<std::streamoff>(name.size())) + 4 + 8;
   {
     std::fstream file(options.spill_dir + "/geom.session",
                       std::ios::binary | std::ios::in | std::ios::out);
@@ -570,13 +556,6 @@ TEST(EngineAdmissionTest, RejectsBadSessions) {
   geometry.spec.stride = kWindow + 1;
   EXPECT_FALSE(engine.CreateSession("stride_gt_window", geometry).ok());
 
-  SessionOptions unknown = TestSession();
-  unknown.method = "KMEANS";
-  const Status bad_method = engine.CreateSession("unknown_method", unknown);
-  EXPECT_FALSE(bad_method.ok());
-  EXPECT_NE(bad_method.message().find("unknown clustering method"),
-            std::string::npos);
-
   SessionOptions invalid = TestSession();
   invalid.spec.disc.eps = -1.0;
   const Status bad_config = engine.CreateSession("bad_eps", invalid);
@@ -614,34 +593,6 @@ TEST(EngineAdmissionTest, FeedAndCloseErrors) {
   EXPECT_TRUE(engine.CloseSession("only").ok());
   EXPECT_EQ(engine.session_count(), 0u);
   EXPECT_EQ(engine.Drain(), 0u);
-}
-
-TEST(EngineAdmissionTest, HostsEveryFactoryMethod) {
-  EngineOptions options;
-  options.num_threads = 2;
-  DiscEngine engine(options);
-  std::vector<std::string> names;
-  for (std::string_view method : KnownClustererMethods()) {
-    SessionOptions session = TestSession();
-    session.method = std::string(method);
-    std::string name = "m_" + session.method;
-    for (char& c : name) {
-      if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) c = '_';
-    }
-    ASSERT_TRUE(engine.CreateSession(name, session).ok()) << method;
-    names.push_back(name);
-  }
-  std::vector<std::vector<Point>> slides = MakeSlides(5, 2);
-  for (const std::vector<Point>& slide : slides) {
-    for (const std::string& name : names) {
-      ASSERT_TRUE(engine.FeedSlide(name, slide).ok());
-    }
-    EXPECT_EQ(engine.Drain(), names.size());
-  }
-  for (const std::string& name : names) {
-    EXPECT_EQ(engine.SlidesRun(name), slides.size());
-    EXPECT_GE(engine.Clusterer(name)->Snapshot().size(), 1u);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ std::vector<std::uint64_t> SeedsUnderTest() {
 
 SessionOptions TestSession() {
   SessionOptions options;
-  options.method = "DISC";
   options.spec.dims = 2;
   options.spec.window_size = kWindow;
   options.spec.stride = kStride;

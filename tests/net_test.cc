@@ -49,7 +49,6 @@ constexpr std::size_t kStride = 30;
 CreateSessionRequest TestSessionRequest(const std::string& name) {
   CreateSessionRequest request;
   request.name = name;
-  request.method = "DISC";
   request.dims = 2;
   request.window_size = kWindow;
   request.stride = kStride;
@@ -62,7 +61,6 @@ CreateSessionRequest TestSessionRequest(const std::string& name) {
 // reference runs host identical sessions.
 SessionOptions ToSessionOptions(const CreateSessionRequest& request) {
   SessionOptions options;
-  options.method = request.method;
   options.spec.dims = request.dims;
   options.spec.window_size = request.window_size;
   options.spec.stride = request.stride;
@@ -232,18 +230,35 @@ TEST(WireTest, PayloadCrcCatchesEveryBitFlipPosition) {
 }
 
 TEST(WireTest, CreateSessionRoundTrips) {
-  CreateSessionRequest request = TestSessionRequest("round_trip");
-  request.method = "DBSTREAM";
+  const CreateSessionRequest request = TestSessionRequest("round_trip");
   CreateSessionRequest decoded;
   ASSERT_TRUE(
       DecodeCreateSession(EncodeCreateSession(request), &decoded).ok());
   EXPECT_EQ(decoded.name, request.name);
-  EXPECT_EQ(decoded.method, request.method);
   EXPECT_EQ(decoded.dims, request.dims);
   EXPECT_EQ(decoded.window_size, request.window_size);
   EXPECT_EQ(decoded.stride, request.stride);
   EXPECT_EQ(decoded.eps, request.eps);
   EXPECT_EQ(decoded.tau, request.tau);
+}
+
+// The previous CreateSession layout carried a clustering-method string
+// after the name. Such a payload must be refused whole, not half-read with
+// the method's bytes taken for the dims and geometry.
+TEST(WireTest, CreateSessionRejectsTheLayoutWithAMethodString) {
+  const CreateSessionRequest request = TestSessionRequest("old_client");
+  WireWriter w;
+  w.Str(request.name);
+  w.Str("DISC");
+  w.U32(request.dims);
+  w.U64(request.window_size);
+  w.U64(request.stride);
+  w.F64(request.eps);
+  w.U32(request.tau);
+  CreateSessionRequest decoded;
+  const Status s = DecodeCreateSession(w.bytes(), &decoded);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "malformed CreateSession payload");
 }
 
 TEST(WireTest, FeedSlideRoundTrips) {
@@ -912,6 +927,25 @@ TEST(IngestTelemetryTest, NetCountersTrackTraffic) {
   EXPECT_GT(metrics.counter("net_bytes_rx_total").value(), 0u);
   EXPECT_GT(metrics.counter("net_bytes_tx_total").value(), 0u);
   EXPECT_EQ(metrics.gauge("net_connections_open").value(), 0.0);
+}
+
+// Stop() right after Start() catches worker lanes on their way into the
+// queue wait, where a wake-up that is not ordered with their predicate
+// check is lost and join() hangs. Hundreds of cycles give a racing worker
+// many chances; the TSan leg runs this too.
+TEST(SocketServerTest, StartStopCyclesNeverHang) {
+  SocketServerOptions options;
+  options.name = "cycle";
+  options.worker_threads = 4;
+  options.handler = [](int) {};
+  SocketServer server(options);
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    ASSERT_TRUE(server.Start().ok()) << "cycle " << cycle;
+    EXPECT_NE(server.port(), 0u);
+    if (cycle % 3 == 1) std::this_thread::yield();
+    server.Stop();
+    EXPECT_FALSE(server.running());
+  }
 }
 
 }  // namespace

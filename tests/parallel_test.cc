@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "baselines/dbscan.h"
@@ -54,6 +55,37 @@ TEST(ParallelForTest, EmptyRangeDoesNothing) {
   std::atomic<int> calls{0};
   ParallelFor(&pool, 0, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
+}
+
+// A batch of one is not dispatched: it runs on the calling thread as lane
+// 0, exactly like every batch of a worker-less pool (a lone DiscEngine
+// session's slide relies on this to stay on the scheduler thread).
+TEST(ParallelForTest, OneItemBatchRunsInlineAsLaneZero) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::thread::id ran_on;
+    std::size_t ran_lane = pool.lanes();
+    int calls = 0;
+    ParallelFor(&pool, 1, [&](std::size_t lane, std::size_t i) {
+      EXPECT_EQ(i, 0u);
+      ran_on = std::this_thread::get_id();
+      ran_lane = lane;
+      ++calls;
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "round " << round;
+    EXPECT_EQ(ran_lane, 0u) << "round " << round;
+  }
+  // An exception from the inline body reaches the caller; the pool is
+  // untouched and still dispatches larger batches.
+  EXPECT_THROW(ParallelFor(&pool, 1,
+                           [](std::size_t, std::size_t) {
+                             throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  std::atomic<int> calls{0};
+  ParallelFor(&pool, 8, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ParallelForTest, PoolIsReusableAcrossBatches) {
@@ -244,20 +276,12 @@ TEST(ThreadDeterminismTest, MetricsReportThreadsUsed) {
   EXPECT_GE(disc.last_metrics().collect_parallel_ms, 0.0);
   EXPECT_GE(disc.LastPhaseTimings().threads_used, 4u);
 
-  // A borrowed pool, not num_threads, decides the lanes the probes use
-  // (DiscEngine runs sessions at num_threads = 1 and lends a lone one its
-  // shared pool).
+  // num_threads = 1 (how DiscEngine runs every session) is one lane.
   config.num_threads = 1;
-  Disc borrower(2, config);
-  ThreadPool pool(3);
-  borrower.SetExecutionPool(&pool);
-  borrower.Update(incoming, {});
-  EXPECT_EQ(borrower.last_metrics().threads_used, 4u);
-  EXPECT_EQ(borrower.LastPhaseTimings().threads_used, 4u);
-  borrower.ReleaseExecutionPool();
-  borrower.Update({}, incoming);
-  EXPECT_EQ(borrower.last_metrics().threads_used, 1u);
-  EXPECT_EQ(borrower.LastPhaseTimings().threads_used, 1u);
+  Disc single(2, config);
+  single.Update(incoming, {});
+  EXPECT_EQ(single.last_metrics().threads_used, 1u);
+  EXPECT_EQ(single.LastPhaseTimings().threads_used, 1u);
 }
 
 }  // namespace
