@@ -76,7 +76,7 @@ echo "=== engine smoke: multi-session checkpoint/recover + scheduling spans ==="
 python3 tools/trace_check.py \
   --trace "${obs_dir}/engine_trace.json" \
   --require-span engine.drain --require-span engine.session \
-  --require-span pipeline.slide --require-span disc.update
+  --require-span disc.update
 grep -q '^engine_session_city_vehicles_slides_total 15$' \
   "${obs_dir}/engine_metrics.prom" || {
     echo "engine smoke: per-session metrics missing or wrong" >&2; exit 1; }

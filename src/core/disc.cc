@@ -358,10 +358,13 @@ PhaseTimings Disc::LastPhaseTimings() const {
   return t;
 }
 
-std::vector<Point> Disc::WindowContents() const {
+std::vector<Point> Disc::WindowContents(std::size_t limit) const {
+  const std::size_t n = std::min(limit, col_ids_.size());
   std::vector<Point> out;
-  out.reserve(col_ids_.size());
-  for (PointId id : col_ids_) out.push_back(records_.at(id).pt);
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(records_.at(col_ids_[i]).pt);
+  }
   return out;
 }
 

@@ -90,11 +90,13 @@ class Disc : public StreamClusterer {
   const DiscConfig& config() const { return config_; }
   std::size_t window_size() const { return records_.size(); }
 
-  // The window's points sorted by id. Stream sources assign ids in arrival
-  // order, so this doubles as the arrival-ordered contents — what a
-  // CountBasedWindow needs to resume after LoadCheckpoint (see the seeded
-  // window constructor).
-  std::vector<Point> WindowContents() const;
+  // The `limit` smallest-id window points (all of them by default), sorted
+  // by id. Stream sources assign ids in arrival order, so this is also the
+  // oldest-first contents: a CountBasedWindow resumes from it after
+  // LoadCheckpoint, and a DiscEngine session, whose admission enforces
+  // rising ids, takes each slide's outgoing points from it.
+  std::vector<Point> WindowContents(
+      std::size_t limit = static_cast<std::size_t>(-1)) const;
 
   // Cumulative R-tree probe statistics.
   const RTreeStats& tree_stats() const { return tree_.stats(); }

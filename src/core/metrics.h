@@ -43,8 +43,8 @@ struct DiscMetrics {
   // Always 0: CLUSTER runs sequentially. Kept so readers of the per-layer
   // report keep a stable field.
   double cluster_parallel_ms = 0.0;
-  // Lanes COLLECT's fan-outs ran on: those of the pool in use (a borrowed
-  // one included), or 1 when probes run inline.
+  // Lanes COLLECT's fan-outs ran on: those of the pool the Disc owns, or 1
+  // without one.
   std::uint64_t threads_used = 1;
 
   void Reset() { *this = DiscMetrics{}; }

@@ -1,6 +1,5 @@
 #include "engine/disc_engine.h"
 
-#include <cassert>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +9,7 @@
 
 #include "common/failpoint.h"
 #include "common/point.h"
+#include "common/timer.h"
 #include "core/disc.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -88,14 +88,6 @@ constexpr char kManifestHeader[] = "DISCENGINE 1";
 
 }  // namespace
 
-LabeledPoint DiscEngine::QueueSource::Next() {
-  assert(!queue_.empty() && "engine slide scheduled without queued points");
-  LabeledPoint lp;
-  lp.point = queue_.front();
-  queue_.pop_front();
-  return lp;
-}
-
 DiscEngine::DiscEngine(const EngineOptions& options) : options_(options) {
   const std::size_t lanes = ResolveLanes(options_.num_threads);
   if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes - 1);
@@ -147,7 +139,7 @@ Status DiscEngine::CreateSession(const std::string& name,
   adopted.spec.disc.num_threads = 1;
   auto clusterer =
       std::make_unique<Disc>(adopted.spec.dims, adopted.spec.disc);
-  Admit(name, std::move(adopted), std::move(clusterer), {}, 0);
+  Admit(name, std::move(adopted), std::move(clusterer), 0);
   DISC_LOG(kInfo, "engine.session_created")
       .Str("session", name)
       .Num("window_size", options.spec.window_size)
@@ -157,24 +149,17 @@ Status DiscEngine::CreateSession(const std::string& name,
 
 void DiscEngine::Admit(const std::string& name, SessionOptions options,
                        std::unique_ptr<Disc> clusterer,
-                       std::vector<Point> seed_window,
                        std::size_t slides_already_run) {
   auto session = std::make_unique<Session>();
   session->name = name;
   session->id = next_session_id_++;
   session->options = std::move(options);
   session->clusterer = std::move(clusterer);
-  const SessionOptions::Spec& spec = session->options.spec;
-  // Session is heap-allocated, so the pipeline's borrowed source/clusterer
-  // pointers stay valid for the session's lifetime.
-  if (seed_window.empty() && slides_already_run == 0) {
-    session->pipeline = std::make_unique<StreamingPipeline>(
-        &session->source, session->clusterer.get(), spec.window_size,
-        spec.stride);
-  } else {
-    session->pipeline = std::make_unique<StreamingPipeline>(
-        &session->source, session->clusterer.get(), spec.window_size,
-        spec.stride, std::move(seed_window), slides_already_run);
+  session->slides_run = slides_already_run;
+  // A restored window's ids were admitted before the checkpoint; the next
+  // slide must continue above them.
+  if (session->clusterer->window_size() > 0) {
+    session->newest_id = session->clusterer->Snapshot().ids.back();
   }
   sessions_.push_back(std::move(session));
   if (options_.metrics != nullptr) {
@@ -186,25 +171,25 @@ void DiscEngine::Admit(const std::string& name, SessionOptions options,
 }
 
 Status DiscEngine::FeedSlide(const std::string& name,
-                             const std::vector<Point>& points) {
+                             std::vector<Point> points) {
   DISC_FAILPOINT_STATUS("engine.feed.pre");
   std::lock_guard<std::mutex> lock(mutex_);
-  return FeedSlideLocked(name, points, /*max_pending_slides=*/0,
+  return FeedSlideLocked(name, std::move(points), /*max_pending_slides=*/0,
                          /*busy=*/nullptr);
 }
 
 Status DiscEngine::FeedSlideBounded(const std::string& name,
-                                    const std::vector<Point>& points,
+                                    std::vector<Point> points,
                                     std::size_t max_pending_slides,
                                     bool* busy) {
   if (busy != nullptr) *busy = false;
   DISC_FAILPOINT_STATUS("engine.feed.pre");
   std::lock_guard<std::mutex> lock(mutex_);
-  return FeedSlideLocked(name, points, max_pending_slides, busy);
+  return FeedSlideLocked(name, std::move(points), max_pending_slides, busy);
 }
 
 Status DiscEngine::FeedSlideLocked(const std::string& name,
-                                   const std::vector<Point>& points,
+                                   std::vector<Point> points,
                                    std::size_t max_pending_slides,
                                    bool* busy) {
   Session* session = Find(name);
@@ -218,33 +203,47 @@ Status DiscEngine::FeedSlideLocked(const std::string& name,
        << " points, got " << points.size();
     return Status::Error(os.str());
   }
+  // The Disc is the window and evicts its smallest ids first, so ids must
+  // rise in arrival order or the wrong points would leave.
   const std::uint32_t dims = session->options.spec.dims;
+  std::optional<PointId> newest = session->newest_id;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].dims != dims) {
-      std::ostringstream os;
-      os << "session \"" << name << "\": point " << i << " (id "
-         << points[i].id << ") has dims=" << points[i].dims
-         << ", session expects dims=" << dims;
-      // Rate-limited: a misbehaving feeder retrying every slide must not
-      // flood the sink.
-      DISC_LOG(kWarn, "engine.slide_rejected")
-          .Str("session", name)
-          .Str("error", os.str());
-      return Status::Error(os.str());
+    const Point& p = points[i];
+    const bool rises = !newest || p.id > *newest;
+    if (p.dims == dims && IsValidPoint(p) && rises) {
+      newest = p.id;
+      continue;
     }
+    std::ostringstream os;
+    os << "session \"" << name << "\": point " << i << " (id " << p.id << ") ";
+    if (p.dims != dims) {
+      os << "has dims=" << p.dims << ", session expects dims=" << dims;
+    } else if (!rises) {
+      os << "is not above the newest admitted id " << *newest
+         << "; ids must rise strictly";
+    } else {
+      os << "has a non-finite coordinate";
+    }
+    // Rate-limited: a misbehaving feeder retrying every slide must not
+    // flood the sink.
+    DISC_LOG(kWarn, "engine.slide_rejected")
+        .Str("session", name)
+        .Str("error", os.str());
+    return Status::Error(os.str());
   }
   // Admission bound last: a slide that fails validation is *rejected*, not
   // BUSY — only a full queue earns the retryable backpressure signal.
-  if (max_pending_slides > 0 && session->pending_slides >= max_pending_slides) {
+  if (max_pending_slides > 0 &&
+      session->pending.size() >= max_pending_slides) {
     if (busy != nullptr) *busy = true;
     std::ostringstream os;
     os << "session \"" << name << "\": admission queue full ("
-       << session->pending_slides << " slides pending, bound "
+       << session->pending.size() << " slides pending, bound "
        << max_pending_slides << "); retry after a drain";
     return Status::Error(os.str());
   }
-  for (const Point& p : points) session->source.Push(p);
-  ++session->pending_slides;
+  session->pending.push_back(std::move(points));
+  session->newest_id = newest;
   UpdateBacklogGauges();
   return Status::Ok();
 }
@@ -279,30 +278,37 @@ Status DiscEngine::CloseSession(const std::string& name) {
 void DiscEngine::ExecuteSessionSlide(Session* session) {
   obs::TraceSpan span("engine.session");
   span.AddArg("session", session->id);
-  span.AddArg("slide", session->pipeline->slides_run());
-  // Fires before any queue consumption: an injected throw here leaves the
-  // pipeline untouched and the slide pending, so the retry at the next
-  // Drain replays it exactly.
+  span.AddArg("slide", session->slides_run);
+  // Fires before the Disc is touched: an injected throw here leaves the
+  // window as it was and the slide pending, so the retry at the next Drain
+  // replays it exactly.
   DISC_FAILPOINT("engine.session.slide");
-  session->pipeline->Run(1, [session](const SlideReport& report) {
-    session->last_report = report;
-    return true;
-  });
-  --session->pending_slides;
+  Disc& disc = *session->clusterer;
+  const std::vector<Point>& incoming = session->pending.front();
+  // Count-based window (Sec. II-B): once full, a slide evicts as many of
+  // the oldest — smallest-id — points as overflow it.
+  const std::size_t filled = disc.window_size() + incoming.size();
+  const std::size_t capacity = session->options.spec.window_size;
+  const std::vector<Point> outgoing =
+      disc.WindowContents(filled > capacity ? filled - capacity : 0);
+  Timer timer;
+  disc.Update(incoming, outgoing);
+  session->last_update_ms = timer.ElapsedMillis();
+  session->pending.pop_front();
+  ++session->slides_run;
   session->ran_this_round = true;
 }
 
 void DiscEngine::FoldSessionMetrics(Session* session) {
   if (options_.metrics == nullptr) return;
   obs::MetricsRegistry& reg = *options_.metrics;
-  const SlideReport& r = session->last_report;
+  const UpdateDelta& delta = session->clusterer->last_delta();
   const std::string prefix = "engine_session_" + session->name + "_";
   reg.counter(prefix + "slides_total").Add(1);
-  reg.counter(prefix + "points_entered_total").Add(r.entered);
-  reg.counter(prefix + "points_exited_total").Add(r.exited);
-  reg.counter(prefix + "points_relabeled_total").Add(r.relabeled);
-  reg.gauge(prefix + "window_size").Set(static_cast<double>(r.window_size));
-  reg.histogram(prefix + "update_ms").Observe(r.update_ms);
+  reg.counter(prefix + "points_entered_total").Add(delta.entered.size());
+  reg.counter(prefix + "points_exited_total").Add(delta.exited.size());
+  reg.counter(prefix + "points_relabeled_total").Add(delta.relabeled.size());
+  reg.histogram(prefix + "update_ms").Observe(session->last_update_ms);
 }
 
 void DiscEngine::UpdateBacklogGauges() {
@@ -314,21 +320,23 @@ void DiscEngine::UpdateBacklogGauges() {
   // growing lag while the healthy ones stay at 0.
   std::size_t watermark = 0;
   for (const auto& s : sessions_) {
-    const std::size_t frontier = s->pipeline->slides_run() + s->pending_slides;
+    const std::size_t frontier = s->slides_run + s->pending.size();
     if (frontier > watermark) watermark = frontier;
   }
   for (const auto& s : sessions_) {
     const std::string prefix = "engine_session_" + s->name + "_";
     reg.gauge(prefix + "queue_depth",
               "Slides fed to this session but not yet drained.")
-        .Set(static_cast<double>(s->pending_slides));
+        .Set(static_cast<double>(s->pending.size()));
     reg.gauge(prefix + "watermark_lag_slides",
               "Slides this session is behind the engine watermark (the "
               "furthest frontier over all sessions).")
-        .Set(static_cast<double>(watermark - s->pipeline->slides_run()));
+        .Set(static_cast<double>(watermark - s->slides_run));
     reg.gauge(prefix + "last_slide_ms",
               "Update latency of this session's most recent slide.")
-        .Set(s->last_report.update_ms);
+        .Set(s->last_update_ms);
+    reg.gauge(prefix + "window_size", "Points in this session's window.")
+        .Set(static_cast<double>(s->clusterer->window_size()));
   }
 }
 
@@ -357,7 +365,7 @@ std::size_t DiscEngine::DrainLocked() {
     std::vector<Session*> ready;
     for (std::size_t k = 0; k < n; ++k) {
       Session* s = sessions_[(rr_cursor_ + k) % n].get();
-      if (s->pending_slides > 0 && !s->faulted_this_drain) ready.push_back(s);
+      if (!s->pending.empty() && !s->faulted_this_drain) ready.push_back(s);
     }
     if (ready.empty()) break;
     rr_cursor_ = (rr_cursor_ + 1) % n;
@@ -431,7 +439,7 @@ Status DiscEngine::SaveSession(const Session& session,
   WritePod(out, spec.dims);
   WritePod(out, static_cast<std::uint64_t>(spec.window_size));
   WritePod(out, static_cast<std::uint64_t>(spec.stride));
-  WritePod(out, static_cast<std::uint64_t>(session.pipeline->slides_run()));
+  WritePod(out, static_cast<std::uint64_t>(session.slides_run));
   const DiscConfig& c = spec.disc;
   WritePod(out, c.eps);
   WritePod(out, c.tau);
@@ -461,10 +469,10 @@ Status DiscEngine::Checkpoint() {
   // run; persisting now would spill a state that silently forgets those
   // slides, so refuse and let the caller retry after the next clean drain.
   for (const auto& session : sessions_) {
-    if (session->pending_slides > 0) {
+    if (!session->pending.empty()) {
       std::ostringstream os;
       os << "session \"" << session->name << "\" still has "
-         << session->pending_slides
+         << session->pending.size()
          << " queued slide(s) after the pre-checkpoint drain (slide "
             "fault?); checkpoint refused";
       DISC_LOG(kError, "engine.checkpoint_failed")
@@ -617,7 +625,7 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     spec.window_size = window_size;
     spec.stride = stride;
     // Same geometry gate as CreateSession: a hand-edited or corrupt spill
-    // must not build a degenerate pipeline.
+    // must not build a degenerate window.
     if (spec.stride < 1 || spec.window_size < spec.stride) {
       return fail("corrupt session header in " + path +
                   ": window geometry needs 1 <= stride <= window_size, got "
@@ -653,17 +661,14 @@ std::unique_ptr<DiscEngine> DiscEngine::Open(const EngineOptions& options,
     }
     // The checkpoint's point count and the header's geometry are stored
     // independently, so a corrupt header can claim a window smaller than
-    // the restored contents; that must fail here, not as the window
-    // seeding assert.
-    std::vector<Point> restored = clusterer->WindowContents();
-    if (restored.size() > spec.window_size) {
+    // the restored contents; that must fail here, not as an overfull window.
+    if (clusterer->window_size() > spec.window_size) {
       return fail("session \"" + name + "\": checkpoint holds " +
-                  std::to_string(restored.size()) +
+                  std::to_string(clusterer->window_size()) +
                   " window points but the header claims window_size=" +
                   std::to_string(spec.window_size));
     }
-    engine->Admit(name, std::move(so), std::move(clusterer),
-                  std::move(restored), slides_run);
+    engine->Admit(name, std::move(so), std::move(clusterer), slides_run);
   }
   return engine;
 }
@@ -685,20 +690,20 @@ const Disc* DiscEngine::Clusterer(const std::string& name) const {
 std::size_t DiscEngine::PendingSlides(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Session* session = Find(name);
-  return session == nullptr ? 0 : session->pending_slides;
+  return session == nullptr ? 0 : session->pending.size();
 }
 
 std::size_t DiscEngine::SlidesRun(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Session* session = Find(name);
-  return session == nullptr ? 0 : session->pipeline->slides_run();
+  return session == nullptr ? 0 : session->slides_run;
 }
 
 std::vector<obs::SessionStatusRow> DiscEngine::SessionStatus() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t watermark = 0;
   for (const auto& s : sessions_) {
-    const std::size_t frontier = s->pipeline->slides_run() + s->pending_slides;
+    const std::size_t frontier = s->slides_run + s->pending.size();
     if (frontier > watermark) watermark = frontier;
   }
   std::vector<obs::SessionStatusRow> rows;
@@ -707,11 +712,11 @@ std::vector<obs::SessionStatusRow> DiscEngine::SessionStatus() const {
     obs::SessionStatusRow row;
     row.name = s->name;
     row.id = s->id;
-    row.window_size = s->last_report.window_size;
-    row.slides_run = s->pipeline->slides_run();
-    row.queue_depth = s->pending_slides;
-    row.watermark_lag_slides = watermark - s->pipeline->slides_run();
-    row.last_slide_ms = s->last_report.update_ms;
+    row.window_size = s->clusterer->window_size();
+    row.slides_run = s->slides_run;
+    row.queue_depth = s->pending.size();
+    row.watermark_lag_slides = watermark - s->slides_run;
+    row.last_slide_ms = s->last_update_ms;
     rows.push_back(std::move(row));
   }
   return rows;

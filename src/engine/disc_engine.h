@@ -4,13 +4,16 @@
 // DiscEngine: many concurrent DISC sessions multiplexed over one shared
 // thread pool, with checkpointed recovery (docs/API.md §Engine).
 //
-// A *session* is a named (Disc, window, slide queue) triple. Hosts feed raw
-// point strides with FeedSlide and call Drain() to advance every session
-// that has work; the engine schedules ready sessions round-robin onto the
-// pool's lanes, one session per lane. Every session's Disc runs single-lane,
-// so scheduling never changes results: per-session snapshots, deltas, and
-// checkpoints are byte-identical to a standalone single-threaded run of the
-// same stream.
+// A *session* is a named (Disc, slide queue) pair. The Disc is the
+// session's count-based window: admission requires strictly rising point
+// ids, so the window's smallest ids are its oldest points and each slide
+// evicts them. Hosts feed raw point strides with FeedSlide and call Drain()
+// to advance every session that has work; the engine schedules ready
+// sessions round-robin onto the pool's lanes, one session per lane. Every
+// session's Disc runs single-lane, so scheduling never changes results:
+// per-session snapshots, deltas, and checkpoints are byte-identical to a
+// standalone single-threaded run of the same stream through a count-based
+// window.
 //
 // Checkpoint() persists every session into the engine's spill directory
 // (drained first, so no queued slide is lost); DiscEngine::Open() restores
@@ -33,19 +36,19 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/point.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/disc.h"
-#include "core/pipeline.h"
 #include "obs/http_server.h"
 #include "obs/metrics_registry.h"
-#include "stream/stream_source.h"
 
 namespace disc {
 
@@ -95,10 +98,12 @@ class DiscEngine : public obs::EngineStatusProvider {
       EXCLUDES(mutex_);
 
   // Queues one slide for the named session. `points` must hold exactly
-  // stride points (the count-based window model); ids are the caller's and
-  // must be fresh, as with any StreamClusterer. The slide runs at the next
-  // Drain().
-  Status FeedSlide(const std::string& name, const std::vector<Point>& points)
+  // stride points (the count-based window model) of the session's dims,
+  // every coordinate finite. Ids are the caller's and must rise strictly:
+  // each one above the previous point's and above every id admitted before
+  // (after Open, above the restored window's largest). A slide breaking any
+  // rule fails and admits nothing. The slide runs at the next Drain().
+  Status FeedSlide(const std::string& name, std::vector<Point> points)
       EXCLUDES(mutex_);
 
   // FeedSlide with bounded admission for remote feeders (the ingest
@@ -108,10 +113,9 @@ class DiscEngine : public obs::EngineStatusProvider {
   // holds `max_pending_slides` queued slides the call fails, sets *busy
   // to true (when non-null), and admits nothing — the caller owes the
   // producer an explicit BUSY so no slide is ever silently dropped.
-  // Validation failures (unknown session, wrong point count, wrong dims)
-  // fail with *busy left false.
-  Status FeedSlideBounded(const std::string& name,
-                          const std::vector<Point>& points,
+  // Validation failures (unknown session, wrong point count, wrong dims,
+  // non-finite coordinates, ids not rising) fail with *busy left false.
+  Status FeedSlideBounded(const std::string& name, std::vector<Point> points,
                           std::size_t max_pending_slides, bool* busy = nullptr)
       EXCLUDES(mutex_);
 
@@ -197,30 +201,23 @@ class DiscEngine : public obs::EngineStatusProvider {
   std::uint16_t TelemetryPort() const EXCLUDES(mutex_);
 
  private:
-  // Feeds a session's queued strides to its pipeline: FeedSlide pushes
-  // here, the pipeline's window pulls via Next() during a drained slide.
-  class QueueSource : public StreamSource {
-   public:
-    LabeledPoint Next() override;
-    void Push(const Point& p) { queue_.push_back(p); }
-    std::size_t size() const { return queue_.size(); }
-
-   private:
-    std::deque<Point> queue_;
-  };
-
   struct Session {
     std::string name;
     std::uint64_t id = 0;  // Creation order; the trace-span session arg.
     SessionOptions options;
-    QueueSource source;
+    // The session's clustering and its window.
     std::unique_ptr<Disc> clusterer;
-    std::unique_ptr<StreamingPipeline> pipeline;
-    std::size_t pending_slides = 0;
+    // Admitted slides not yet run, oldest first.
+    std::deque<std::vector<Point>> pending;
+    // Slides run since creation; checkpointed, so numbering survives Open.
+    std::size_t slides_run = 0;
+    // Largest id admitted so far (or restored by Open); unset until the
+    // first point arrives.
+    std::optional<PointId> newest_id;
     // Scratch of the current Drain round, written only by the lane running
     // this session, folded into metrics by the scheduler thread after the
     // round's barrier.
-    SlideReport last_report;
+    double last_update_ms = 0.0;
     bool ran_this_round = false;
     // Set (by the lane that hit the fault) when this session's slide threw
     // during the current Drain: the session sits out the rest of the drain
@@ -234,26 +231,25 @@ class DiscEngine : public obs::EngineStatusProvider {
 
   // Shared body of FeedSlide / FeedSlideBounded: validates, then admits.
   // `max_pending_slides` of 0 means unbounded (the in-process path).
-  Status FeedSlideLocked(const std::string& name,
-                         const std::vector<Point>& points,
+  Status FeedSlideLocked(const std::string& name, std::vector<Point> points,
                          std::size_t max_pending_slides, bool* busy)
       REQUIRES(mutex_);
 
   // Builds the session object (no validation; CreateSession and Open have
-  // already vetted the options and built the Disc). The seed window and
-  // slide counter carry restored state when resuming.
+  // already vetted the options and built the Disc). When resuming, the Disc
+  // holds the restored window and the slide counter carries on.
   void Admit(const std::string& name, SessionOptions options,
-             std::unique_ptr<Disc> clusterer,
-             std::vector<Point> seed_window, std::size_t slides_already_run)
+             std::unique_ptr<Disc> clusterer, std::size_t slides_already_run)
       REQUIRES(mutex_);
 
   // Drain's body; split out so Checkpoint can drain inside its own
   // critical section (the mutex is not recursive).
   std::size_t DrainLocked() REQUIRES(mutex_);
 
-  // Runs exactly one queued slide of `session` on the calling thread (a
-  // pool lane, or the scheduler thread when the session runs alone). Emits
-  // the "engine.session" span.
+  // Runs the oldest queued slide of `session` on the calling thread (a pool
+  // lane, or the scheduler thread when the session runs alone): evicts the
+  // window's oldest points once it is full and updates the Disc. Emits the
+  // "engine.session" span.
   void ExecuteSessionSlide(Session* session);
 
   void FoldSessionMetrics(Session* session);
@@ -265,9 +261,10 @@ class DiscEngine : public obs::EngineStatusProvider {
   void MarkSlideFault(Session* session, const char* what);
 
   // Refreshes the per-session backlog gauges (`..._queue_depth`,
-  // `..._watermark_lag_slides`, `..._last_slide_ms`) after any queue or
-  // progress change. Runs on the scheduler thread under the lock, like
-  // FoldSessionMetrics, so gauge writes keep the single-writer discipline.
+  // `..._watermark_lag_slides`, `..._last_slide_ms`, `..._window_size`)
+  // after any queue or progress change. Runs on the scheduler thread under
+  // the lock, like FoldSessionMetrics, so gauge writes keep the
+  // single-writer discipline.
   void UpdateBacklogGauges() REQUIRES(mutex_);
 
   Status SaveSession(const Session& session, std::ostream& out) const;

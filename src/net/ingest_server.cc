@@ -273,7 +273,8 @@ MessageType IngestServer::Dispatch(MessageType type,
       }
       bool busy = false;
       const Status fed = options_.engine->FeedSlideBounded(
-          request.name, request.points, options_.max_pending_slides, &busy);
+          request.name, std::move(request.points),
+          options_.max_pending_slides, &busy);
       if (busy) {
         if (options_.metrics != nullptr) {
           options_.metrics->counter("net_busy_rejections_total").Add();

@@ -5,14 +5,17 @@
 // with descriptive Statuses, and the clusterer factory (which the figure
 // benchmarks build their methods through) must cover every method key.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/disc.h"
@@ -153,6 +156,17 @@ std::vector<std::string> RunStandaloneWithRestart(
   return per_slide;
 }
 
+// The ids an uninterrupted count-based window holds after slide k, sorted.
+std::vector<PointId> UninterruptedWindowIds(
+    const std::vector<std::vector<Point>>& slides, std::size_t k) {
+  CountBasedWindow window(kWindow, kStride);
+  for (std::size_t j = 0; j <= k; ++j) window.Advance(slides[j]);
+  std::vector<PointId> ids;
+  for (const Point& p : window.contents()) ids.push_back(p.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 std::string SpillDir(const std::string& leaf) {
   const std::string dir = testing::TempDir() + "disc_engine_" + leaf;
   std::filesystem::remove_all(dir);
@@ -200,7 +214,12 @@ TEST(EngineDeterminismTest, EightSessionsOnFourLanesMatchStandalone) {
   }
 
   // One session alone: it runs on the scheduler thread. Still identical.
+  // The extra stream's ids are shifted above the first stream's, since a
+  // session admits only rising ids.
   std::vector<std::vector<Point>> extra = MakeSlides(999, 3);
+  for (std::vector<Point>& slide : extra) {
+    for (Point& p : slide) p.id += kSlides * kStride;
+  }
   std::vector<std::vector<Point>> full(streams[0]);
   full.insert(full.end(), extra.begin(), extra.end());
   const std::vector<std::string> expected_full = RunStandalone(full);
@@ -342,7 +361,7 @@ TEST(EngineDeterminismTest, DrainEmitsEngineSpans) {
   const std::string trace = os.str();
   EXPECT_NE(trace.find("engine.drain"), std::string::npos);
   EXPECT_NE(trace.find("engine.session"), std::string::npos);
-  EXPECT_NE(trace.find("pipeline.slide"), std::string::npos);
+  EXPECT_NE(trace.find("disc.update"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +449,40 @@ TEST(EngineRecoveryTest, KillAndRecoverEqualsUninterrupted) {
         CheckSameClustering(recovered.Snapshot(), uninterrupted.Snapshot(),
                             contents, TestConfig().eps);
     EXPECT_TRUE(eq.ok) << "session " << i << ": " << eq.error;
+  }
+  std::filesystem::remove_all(options.spill_dir);
+}
+
+// The session's Disc is its window: across Checkpoint → Open it evicts
+// exactly what an uninterrupted count-based window does, on every slide
+// after the restart (not only eventually).
+TEST(EngineRecoveryTest, WindowIdsMatchUninterruptedAfterEveryPostOpenSlide) {
+  constexpr std::size_t kTotal = 12;
+  constexpr std::size_t kBeforeKill = 5;
+  const std::vector<std::vector<Point>> slides = MakeSlides(7100, kTotal);
+
+  EngineOptions options;
+  options.num_threads = 1;
+  options.spill_dir = SpillDir("window_ids");
+  {
+    DiscEngine engine(options);
+    ASSERT_TRUE(engine.CreateSession("ids", TestSession()).ok());
+    for (std::size_t k = 0; k < kBeforeKill; ++k) {
+      ASSERT_TRUE(engine.FeedSlide("ids", slides[k]).ok());
+    }
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+  Status error;
+  std::unique_ptr<DiscEngine> engine = DiscEngine::Open(options, &error);
+  ASSERT_NE(engine, nullptr) << error.message();
+  EXPECT_EQ(EngineDisc(*engine, "ids").Snapshot().ids,
+            UninterruptedWindowIds(slides, kBeforeKill - 1));
+  for (std::size_t k = kBeforeKill; k < kTotal; ++k) {
+    ASSERT_TRUE(engine->FeedSlide("ids", slides[k]).ok());
+    EXPECT_EQ(engine->Drain(), 1u);
+    EXPECT_EQ(EngineDisc(*engine, "ids").Snapshot().ids,
+              UninterruptedWindowIds(slides, k))
+        << "window diverged at slide " << k;
   }
   std::filesystem::remove_all(options.spill_dir);
 }
@@ -593,6 +646,63 @@ TEST(EngineAdmissionTest, FeedAndCloseErrors) {
   EXPECT_TRUE(engine.CloseSession("only").ok());
   EXPECT_EQ(engine.session_count(), 0u);
   EXPECT_EQ(engine.Drain(), 0u);
+}
+
+// Admission keeps id order equal to arrival order, which the Disc-as-window
+// relies on: a slide whose ids do not rise above every admitted id, or that
+// carries a non-finite coordinate, is rejected whole — before and after
+// Checkpoint → Open (where the restored window's largest id is the floor).
+TEST(EngineAdmissionTest, RejectsFallingIdsAndNonFiniteCoordinatesAcrossOpen) {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.spill_dir = SpillDir("admission_rules");
+  const std::vector<std::vector<Point>> slides = MakeSlides(8200, 3);
+  const PointId newest = slides[1].back().id;
+
+  struct BadSlide {
+    std::vector<Point> points;
+    std::string reason;
+  };
+  std::vector<BadSlide> bad;
+  bad.push_back({slides[0], "ids must rise"});  // Every id below the newest.
+  bad.push_back({slides[2], "ids must rise"});
+  bad.back().points[0].id = newest;  // Repeats the newest id.
+  bad.push_back({slides[2], "ids must rise"});
+  std::swap(bad.back().points[10].id, bad.back().points[11].id);
+  bad.push_back({slides[2], "non-finite"});
+  bad.back().points.back().x[1] = std::numeric_limits<double>::quiet_NaN();
+  bad.push_back({slides[2], "non-finite"});
+  bad.back().points[0].x[0] = std::numeric_limits<double>::infinity();
+
+  const auto expect_all_rejected = [&bad](DiscEngine& engine) {
+    const std::size_t pending = engine.PendingSlides("rules");
+    for (const BadSlide& slide : bad) {
+      const Status fed = engine.FeedSlide("rules", slide.points);
+      EXPECT_FALSE(fed.ok());
+      EXPECT_NE(fed.message().find(slide.reason), std::string::npos)
+          << fed.message();
+      EXPECT_EQ(engine.PendingSlides("rules"), pending);
+    }
+  };
+
+  {
+    DiscEngine engine(options);
+    ASSERT_TRUE(engine.CreateSession("rules", TestSession()).ok());
+    ASSERT_TRUE(engine.FeedSlide("rules", slides[0]).ok());
+    ASSERT_TRUE(engine.FeedSlide("rules", slides[1]).ok());
+    expect_all_rejected(engine);
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+  Status error;
+  std::unique_ptr<DiscEngine> engine = DiscEngine::Open(options, &error);
+  ASSERT_NE(engine, nullptr) << error.message();
+  expect_all_rejected(*engine);
+  // The rejected slides admitted nothing, their ids included: the rightful
+  // next slide still goes in.
+  ASSERT_TRUE(engine->FeedSlide("rules", slides[2]).ok());
+  EXPECT_EQ(engine->Drain(), 1u);
+  EXPECT_EQ(EngineDisc(*engine, "rules").window_size(), 3 * kStride);
+  std::filesystem::remove_all(options.spill_dir);
 }
 
 // ---------------------------------------------------------------------------

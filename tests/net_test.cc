@@ -610,6 +610,49 @@ TEST(IngestBackpressureTest, FullAdmissionQueueAnswersBusyAndNeverDrops) {
   server.Stop();
 }
 
+// A slide whose ids do not rise is a rejection, not backpressure: it answers
+// kError even when the queue is also full, so a producer never retries it.
+TEST(IngestBackpressureTest, NonRisingIdsAnswerErrorNotBusy) {
+  obs::MetricsRegistry metrics;
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.metrics = &metrics;
+  DiscEngine engine(engine_options);
+  IngestServerOptions server_options;
+  server_options.engine = &engine;
+  server_options.metrics = &metrics;
+  server_options.max_pending_slides = 1;
+  IngestServer server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+  IngestClientOptions client_options;
+  client_options.port = server.port();
+  IngestClient client(client_options);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.CreateSession(TestSessionRequest("rising")).ok());
+
+  const auto slides = MakeSlides(98, 2);
+  bool busy = false;
+  ASSERT_TRUE(client.FeedSlide("rising", slides[0], &busy).ok());
+  // The queue is now full, and the repeated slide's ids do not rise.
+  Status s = client.FeedSlide("rising", slides[0], &busy);
+  ASSERT_FALSE(s.ok());
+  EXPECT_FALSE(busy);
+  EXPECT_NE(s.message().find("ids must rise"), std::string::npos);
+  ASSERT_TRUE(client.Drain().ok());
+  s = client.FeedSlide("rising", slides[0], &busy);
+  ASSERT_FALSE(s.ok());
+  EXPECT_FALSE(busy);
+  EXPECT_EQ(metrics.counter("net_busy_rejections_total").value(), 0u);
+  EXPECT_EQ(engine.PendingSlides("rising"), 0u);
+  EXPECT_EQ(engine.SlidesRun("rising"), 1u);
+
+  ASSERT_TRUE(client.FeedSlide("rising", slides[1], &busy).ok());
+  EXPECT_FALSE(busy);
+  EXPECT_TRUE(client.Ping().ok());
+  client.Close();
+  server.Stop();
+}
+
 TEST(IngestBackpressureTest, RequestErrorsAreDescriptive) {
   DiscEngine engine(EngineOptions{});
   IngestServerOptions server_options;

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -427,6 +429,40 @@ TEST(HttpServerTest, SessionsRouteReportsLiveRows) {
   EXPECT_NE(body.find("\"watermark_lag_slides\":3"), std::string::npos);
   EXPECT_EQ(body.find("\"method\""), std::string::npos);
   EXPECT_NE(body.find("\"window_size\":180"), std::string::npos);
+}
+
+// Right after Open, before any slide runs, both the /sessions row and the
+// window_size gauge already read the restored window from the session's Disc.
+TEST(HttpServerTest, SessionsRouteReportsRestoredWindowRightAfterOpen) {
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.spill_dir = testing::TempDir() + "disc_telemetry_open";
+  std::filesystem::remove_all(engine_options.spill_dir);
+  {
+    DiscEngine engine(engine_options);
+    ASSERT_TRUE(engine.CreateSession("alpha", TestSession()).ok());
+    for (const auto& slide : MakeSlides(13, 3)) {
+      ASSERT_TRUE(engine.FeedSlide("alpha", slide).ok());
+    }
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+
+  obs::MetricsRegistry registry;
+  engine_options.metrics = &registry;
+  Status error;
+  std::unique_ptr<DiscEngine> engine = DiscEngine::Open(engine_options, &error);
+  ASSERT_NE(engine, nullptr) << error.message();
+  EXPECT_EQ(registry.gauge("engine_session_alpha_window_size").value(),
+            3.0 * kStride);
+  std::uint16_t port = 0;
+  ASSERT_TRUE(engine->ServeTelemetry(0, &port).ok());
+  int status = 0;
+  const std::string body = obs::HttpGet(port, "/sessions", &status);
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"window_size\":180"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"slides_run\":3"), std::string::npos) << body;
+  engine->StopTelemetry();
+  std::filesystem::remove_all(engine_options.spill_dir);
 }
 
 TEST(HttpServerTest, TracezServesCompletedPhaseSpans) {
